@@ -129,15 +129,12 @@ else
     echo "python3 not found; skipping profile JSON validation"
 fi
 
-echo "==> handoff artifact smoke (deterministic across --jobs and --sched)"
+echo "==> handoff artifact smoke (deterministic across --jobs)"
 ./target/release/experiments handoff --fast --jobs 1 \
     --out target/ci-handoff-j1 >/dev/null
 ./target/release/experiments handoff --fast --jobs 4 \
     --out target/ci-handoff-j4 >/dev/null
-./target/release/experiments handoff --fast --jobs 4 --sched heap \
-    --out target/ci-handoff-heap >/dev/null
 cmp target/ci-handoff-j1/handoff.tsv target/ci-handoff-j4/handoff.tsv
-cmp target/ci-handoff-j1/handoff.tsv target/ci-handoff-heap/handoff.tsv
 if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 # The artifact's headline: HBO-family node-handoff locality beats the
@@ -180,15 +177,16 @@ fi
 # Rebuild without the feature so later smokes run the default binary.
 cargo build --release -q -p nuca-experiments
 
-echo "==> scheduler smoke (wheel/heap byte-identical, soft perf gate)"
-./target/release/experiments fig5 --fast --jobs 2 --sched heap \
-    --out target/ci-sched-heap >/dev/null
-./target/release/experiments fig5 --fast --jobs 2 --sched wheel \
-    --out target/ci-sched-wheel >/dev/null
-cmp target/ci-sched-heap/fig5_time.tsv target/ci-sched-wheel/fig5_time.tsv
-cmp target/ci-sched-heap/fig5_handoff.tsv target/ci-sched-wheel/fig5_handoff.tsv
-if ./target/release/experiments fig5 --sched splay >/dev/null 2>&1; then
-    echo "expected an unknown --sched name to be rejected as a usage error"
+echo "==> scheduler smoke (wheel-vs-heap differential test, soft perf gate)"
+cargo test --release -q -p nuca-experiments --test sched_differential
+# The engine owns one time wheel; the old scheduler switch is gone and
+# must be refused like any other unknown flag.
+if sched_err=$(./target/release/experiments fig5 --fast --sched heap 2>&1 >/dev/null); then
+    echo "expected --sched to be rejected as an unrecognized flag"
+    exit 1
+fi
+if ! grep -q "unrecognized flag \`--sched\`" <<<"$sched_err"; then
+    echo "expected an 'unrecognized flag' error for --sched, got: $sched_err"
     exit 1
 fi
 # Fresh best-of-three measurements for the soft gate below: the
@@ -219,15 +217,12 @@ else
     echo "python3 not found; skipping events/s gate"
 fi
 
-echo "==> lockserver smoke (deterministic across --jobs and --sched, flag usage errors)"
+echo "==> lockserver smoke (deterministic across --jobs, flag usage errors)"
 ./target/release/experiments lockserver --fast --jobs 1 \
     --out target/ci-lockserver-j1 >/dev/null
 ./target/release/experiments lockserver --fast --jobs 4 \
     --out target/ci-lockserver-j4 >/dev/null
-./target/release/experiments lockserver --fast --jobs 4 --sched heap \
-    --out target/ci-lockserver-heap >/dev/null
 cmp target/ci-lockserver-j1/lockserver.tsv target/ci-lockserver-j4/lockserver.tsv
-cmp target/ci-lockserver-j1/lockserver.tsv target/ci-lockserver-heap/lockserver.tsv
 for bad in "--shards 0" "--zipf 1.5" "--arrival-gap 0"; do
     # shellcheck disable=SC2086  # word-splitting the flag+operand is the point
     if ./target/release/experiments lockserver --fast $bad >/dev/null 2>&1; then
@@ -239,15 +234,12 @@ done
     --shards 4 --zipf 0.5 --arrival-gap 8000 \
     --out target/ci-lockserver-flags >/dev/null
 
-echo "==> showdown smoke (deterministic across --jobs and --sched, --kinds flag)"
+echo "==> showdown smoke (deterministic across --jobs, --kinds flag)"
 ./target/release/experiments showdown --fast --jobs 1 \
     --out target/ci-showdown-j1 >/dev/null
 ./target/release/experiments showdown --fast --jobs 4 \
     --out target/ci-showdown-j4 >/dev/null
-./target/release/experiments showdown --fast --jobs 4 --sched heap \
-    --out target/ci-showdown-heap >/dev/null
 cmp target/ci-showdown-j1/showdown.tsv target/ci-showdown-j4/showdown.tsv
-cmp target/ci-showdown-j1/showdown.tsv target/ci-showdown-heap/showdown.tsv
 if ./target/release/experiments showdown --fast --kinds QOLB >/dev/null 2>&1; then
     echo "expected an unregistered --kinds name to be rejected as a usage error"
     exit 1

@@ -24,19 +24,6 @@ pub fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
     }
 }
 
-/// Parses the operand of `--sched`.
-///
-/// # Errors
-///
-/// Returns a usage message when the operand is missing or names no
-/// scheduler (the valid names are `wheel`, `heap` and `check`).
-pub fn parse_sched(value: Option<&str>) -> Result<nucasim::SchedKind, String> {
-    let Some(raw) = value else {
-        return Err("--sched requires a scheduler name (wheel, heap or check)".to_owned());
-    };
-    raw.parse::<nucasim::SchedKind>().map_err(|e| format!("--sched: {e}"))
-}
-
 /// Parses the operand of `--shards` (lockserver shard-lock count).
 ///
 /// # Errors
@@ -233,26 +220,6 @@ mod tests {
     #[test]
     fn rejects_missing_operand() {
         assert!(parse_jobs(None).is_err());
-    }
-
-    #[test]
-    fn accepts_every_scheduler_name() {
-        for kind in nucasim::SchedKind::ALL {
-            assert_eq!(parse_sched(Some(kind.name())), Ok(kind));
-        }
-    }
-
-    #[test]
-    fn rejects_unknown_scheduler() {
-        let err = parse_sched(Some("splay")).unwrap_err();
-        assert!(err.contains("splay"), "{err}");
-        assert!(err.contains("wheel"), "{err}");
-    }
-
-    #[test]
-    fn rejects_missing_scheduler_operand() {
-        let err = parse_sched(None).unwrap_err();
-        assert!(err.contains("--sched"), "{err}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! override the corresponding axes for ad-hoc capacity exploration.
 //!
 //! Leaf runs go through [`runner::run_jobs`], so the TSV is byte-identical
-//! for any `--jobs` and `--sched` setting.
+//! for any `--jobs` setting.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -144,7 +144,7 @@ pub struct SweepRow {
 }
 
 /// Runs the full sweep; deterministic and byte-identical for any `--jobs`
-/// and `--sched` setting.
+/// setting.
 pub fn sweep(scale: Scale) -> Vec<SweepRow> {
     let shard_counts = shard_axis(scale);
     let dist = disturbances(scale);

@@ -5,7 +5,6 @@
 //! experiments fig5 table2       # selected artifacts
 //! experiments all --fast        # smoke-test scale
 //! experiments all --jobs 4      # bound parallel simulation jobs
-//! experiments all --sched heap  # reference scheduler (A/B vs wheel)
 //! experiments all --bench-json BENCH_harness.json
 //! experiments fig5 --trace t.json --metrics-json m.json  # observability
 //! experiments --list            # artifact inventory
@@ -20,8 +19,7 @@ use nuca_experiments::{run_experiment, runner, tracecap, Report, Scale, EXPERIME
 use nuca_experiments::UnknownExperiment;
 
 const USAGE: &str = "usage: experiments [--fast] [--out DIR] [--jobs N] \
-     [--sched wheel|heap|check] [--protocol flat|mesi|dragon] \
-     [--binding rr|clustered] [--kinds NAME,NAME,...] [--twa-slots N] \
+     [--protocol flat|mesi|dragon] [--binding rr|clustered] [--kinds NAME,NAME,...] [--twa-slots N] \
      [--twa-hash mod|stride] [--bench-json PATH] [--trace PATH] \
      [--metrics-json PATH] [--profile PATH] [--shards N] [--zipf THETA] \
      [--arrival-gap CYCLES] <id>... | all | --list";
@@ -49,14 +47,6 @@ fn main() -> ExitCode {
             },
             "--jobs" => match nuca_experiments::cli::parse_jobs(iter.next().as_deref()) {
                 Ok(n) => runner::set_max_jobs(n),
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sched" => match nuca_experiments::cli::parse_sched(iter.next().as_deref()) {
-                Ok(kind) => nucasim::set_default_sched(kind),
                 Err(msg) => {
                     eprintln!("{msg}");
                     eprintln!("{USAGE}");

@@ -97,7 +97,7 @@ fn cross_check(kind: LockKind, cpus: usize, report: &SimReport, profile: &Profil
 }
 
 /// One percentage cell, one decimal (integer-derived, so TSVs stay
-/// byte-identical across job counts and schedulers).
+/// byte-identical across job counts).
 fn pct(part: u64, total: u64) -> String {
     if total == 0 {
         "-".to_owned()

@@ -47,7 +47,7 @@
 //!
 //! All protocol state (tags, ticks, directory) advances only from the
 //! engine's deterministic event order, so MESI and Dragon runs are
-//! byte-identical across `--jobs` and `--sched` exactly like flat runs.
+//! byte-identical across `--jobs` exactly like flat runs.
 
 use nuca_topology::{CpuId, NodeId};
 

@@ -11,7 +11,7 @@ use crate::mem::{Addr, MemOp, MemorySystem};
 use crate::preempt::PreemptState;
 use crate::program::{Command, CpuCtx, Program};
 use crate::rng::SplitMix64;
-use crate::sched::{RecordingQueue, SchedOpLog, SchedQueue};
+use crate::sched::{EventQueue, SchedOp, SchedOpLog, TimeWheel};
 use crate::stats::{LockTally, LockTrace, SimStats, TrafficCounts};
 use crate::trace::{SimEvent, TraceSink};
 
@@ -159,10 +159,11 @@ pub struct Machine {
     mem: MemorySystem,
     stats: SimStats,
     cpus: CpuStates,
-    /// Pending `(time, cpu)` resume events — time wheel by default, the
-    /// reference heap or the cross-checking pair via
-    /// [`MachineConfig::sched`] (see [`crate::sched`]).
-    queue: SchedQueue,
+    /// Pending `(time, cpu)` resume events (see [`crate::sched`]).
+    queue: TimeWheel,
+    /// Scheduler-op recorder, if installed. `None` (the default) keeps
+    /// each queue operation down to one extra branch, like tracing.
+    sched_log: Option<SchedOpLog>,
     time: u64,
     preempt: Option<PreemptState>,
     /// Engine-side fault layers (holder-preempt bursts, migration).
@@ -221,13 +222,13 @@ impl Machine {
             FaultState::new(&f, topo.num_cpus(), &mut rng)
         });
         let cpus = CpuStates::new(topo.num_cpus());
-        let queue = SchedQueue::new(cfg.sched.unwrap_or_else(crate::default_sched));
         Machine {
             mem,
             topo,
             stats: SimStats::with_hot_limit(cfg.hot_locks),
             cpus,
-            queue,
+            queue: TimeWheel::new(),
+            sched_log: None,
             time: 0,
             preempt,
             faults,
@@ -259,10 +260,10 @@ impl Machine {
         self.profile_label = Some(label.to_owned());
     }
 
-    /// Replaces the scheduler with a recording wheel and returns the
-    /// cloneable op log: every subsequent push/pop is captured as a
-    /// [`crate::SchedOp`] for offline replay (the scheduler
-    /// microbenchmarks). Must be called before any program is added.
+    /// Starts recording the scheduler and returns the cloneable op log:
+    /// every subsequent push and pop is captured as a [`crate::SchedOp`]
+    /// for offline replay (the scheduler microbenchmarks). Must be called
+    /// before any program is added.
     ///
     /// # Panics
     ///
@@ -284,7 +285,7 @@ impl Machine {
             self.queue.is_empty(),
             "install the scheduler recorder before adding programs"
         );
-        self.queue = SchedQueue::Record(RecordingQueue::new(log));
+        self.sched_log = Some(log);
     }
 
     /// The machine's topology.
@@ -320,7 +321,34 @@ impl Machine {
         self.cpus.programs[i] = Some(program);
         self.cpus.pending[i] = None;
         self.cpus.finished_at[i] = None;
-        self.queue.push(self.time, i as u32);
+        self.enqueue(self.time, i as u32);
+    }
+
+    /// Pushes a resume of `cpu` at `t`, through the op recorder if one is
+    /// installed.
+    #[inline]
+    fn enqueue(&mut self, t: u64, cpu: u32) {
+        if let Some(log) = &self.sched_log {
+            log.record(SchedOp::Push { t, cpu });
+        }
+        self.queue.push(t, cpu);
+    }
+
+    /// Applies faults and preemption windows to a resume of `cpu` at `t`.
+    /// Undisturbed machines — the common case — pay one inlined branch;
+    /// the layers themselves stay out of line.
+    #[inline]
+    fn disturb(&mut self, cpu: usize, t: u64) -> u64 {
+        if self.faults.is_none() && self.preempt.is_none() {
+            return t;
+        }
+        self.disturb_slow(cpu, t)
+    }
+
+    #[inline(never)]
+    fn disturb_slow(&mut self, cpu: usize, t: u64) -> u64 {
+        let t = self.apply_faults(cpu, t);
+        self.adjust_preempt(cpu, t)
     }
 
     /// Slides `t` past any preemption window on `cpu`.
@@ -385,10 +413,9 @@ impl Machine {
     /// windows. Returns the time actually queued so the run loop can keep
     /// its cached view of the queue head current.
     fn schedule_resume(&mut self, cpu: usize, t: u64, value: Option<u64>) -> u64 {
-        let t = self.apply_faults(cpu, t);
-        let t = self.adjust_preempt(cpu, t);
+        let t = self.disturb(cpu, t);
         self.cpus.pending[cpu] = value;
-        self.queue.push(t, cpu as u32);
+        self.enqueue(t, cpu as u32);
         t
     }
 
@@ -420,6 +447,9 @@ impl Machine {
             #[cfg(feature = "selftime")]
             crate::selftime::add(&crate::selftime::QUEUE, q0);
             let Some((mut t, cpu)) = popped else { break };
+            if let Some(log) = &self.sched_log {
+                log.record(SchedOp::Pop);
+            }
             let cpu = cpu as usize;
             // Queue head, cached across the inline-resume burst below. Only
             // watcher wakes push while the burst runs, and those go through
@@ -523,8 +553,7 @@ impl Machine {
                     }
                 };
                 self.cpus.programs[cpu] = Some(program);
-                let faulted = self.apply_faults(cpu, next_at);
-                let adj = self.adjust_preempt(cpu, faulted);
+                let adj = self.disturb(cpu, next_at);
                 if inline_resume && adj <= limit && head.is_none_or(|ht| adj < ht) {
                     // Nothing can run before this CPU's continuation:
                     // resume it directly.
@@ -533,7 +562,7 @@ impl Machine {
                     continue;
                 }
                 self.cpus.pending[cpu] = next_value;
-                self.queue.push(adj, cpu as u32);
+                self.enqueue(adj, cpu as u32);
                 continue 'outer;
             }
         }
@@ -1001,20 +1030,18 @@ mod tests {
 
     /// One contended-counter report, with an arbitrary fault surface.
     fn faulted_report(faults: Option<crate::FaultConfig>) -> SimReport {
-        faulted_report_sched(faults, None)
+        faulted_machine(faults).1
     }
 
-    /// [`faulted_report`] under an explicit event scheduler.
-    fn faulted_report_sched(
-        faults: Option<crate::FaultConfig>,
-        sched: Option<crate::SchedKind>,
-    ) -> SimReport {
+    /// [`faulted_report`], also returning the scheduler-op log recorded
+    /// over the whole run.
+    fn faulted_machine(faults: Option<crate::FaultConfig>) -> (Vec<SchedOp>, SimReport) {
         let mut cfg = MachineConfig::wildfire(2, 4).with_seed(13);
-        cfg.sched = sched;
         if let Some(f) = faults {
             cfg.faults = Some(f);
         }
         let mut m = Machine::new(cfg);
+        let log = m.record_sched_ops();
         let a = m.mem_mut().alloc(NodeId(0));
         struct LockedIncr {
             addr: Addr,
@@ -1049,35 +1076,34 @@ mod tests {
         assert!(status.finished_all);
         let r = m.into_report();
         assert_eq!(r.final_value(Addr(0)), 400, "no increments lost to faults");
-        r
+        (log.take(), r)
     }
 
-    /// Tie-break regression under injected faults: holder-preempt bursts
-    /// and migrations reschedule resumes at collision-prone times, so any
-    /// wheel/heap ordering divergence shows up as a different timeline.
-    /// `Check` additionally asserts pop-by-pop agreement.
+    /// The op-log hook sees every queue operation: each push is popped by
+    /// the end of a finished run, and the oracle heap replays the log to
+    /// the same pops as the wheel.
     #[test]
-    fn schedulers_agree_under_preempt_and_migration_faults() {
-        let fcfg = || {
-            crate::FaultConfig::none()
-                .with_holder_preempt(crate::HolderPreemptConfig {
-                    per_mille: 500,
-                    quantum: 10_000,
-                })
-                .with_migration(crate::MigrationConfig { mean_gap: 50_000, pause: 1_000 })
+    fn sched_op_log_records_every_push_and_pop() {
+        use crate::sched::BinHeapQueue;
+
+        let fcfg = crate::FaultConfig::none()
+            .with_holder_preempt(crate::HolderPreemptConfig { per_mille: 500, quantum: 10_000 });
+        let (ops, r) = faulted_machine(Some(fcfg));
+        assert!(r.preemptions > 0, "faults fired");
+        let pushes = ops.iter().filter(|op| matches!(op, SchedOp::Push { .. })).count();
+        assert_eq!(pushes, ops.len() - pushes, "every push popped");
+        assert!(pushes as u64 <= r.events, "inline resumes skip the queue");
+        let replay = |q: &mut dyn EventQueue| -> Vec<(u64, u32)> {
+            let mut out = Vec::new();
+            for op in &ops {
+                match *op {
+                    SchedOp::Push { t, cpu } => q.push(t, cpu),
+                    SchedOp::Pop => out.push(q.pop().expect("recorded pop")),
+                }
+            }
+            out
         };
-        let heap = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Heap));
-        let wheel = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Wheel));
-        let check = faulted_report_sched(Some(fcfg()), Some(crate::SchedKind::Check));
-        assert!(heap.preemptions > 0 && heap.migrations > 0, "faults fired");
-        for other in [&wheel, &check] {
-            assert_eq!(heap.end_time, other.end_time);
-            assert_eq!(heap.traffic, other.traffic);
-            assert_eq!(heap.finish_times, other.finish_times);
-            assert_eq!(heap.events, other.events);
-            assert_eq!(heap.preemptions, other.preemptions);
-            assert_eq!(heap.migrations, other.migrations);
-        }
+        assert_eq!(replay(&mut TimeWheel::new()), replay(&mut BinHeapQueue::new()));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod selftime;
 mod stats;
 mod trace;
 
-pub use config::{CacheGeometry, LatencyModel, MachineConfig, ProtocolKind, SchedKind};
+pub use config::{CacheGeometry, LatencyModel, MachineConfig, ProtocolKind};
 pub use sched::{SchedOp, SchedOpLog};
 pub use engine::{Machine, RunStatus, SimReport};
 pub use faults::{
@@ -135,24 +135,6 @@ pub fn sim_events_total() -> u64 {
     SIM_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Process-wide default event scheduler, used by every
-/// [`MachineConfig`] whose `sched` field is `None`. Encoded as the index
-/// into [`SchedKind::ALL`]; defaults to the wheel.
-static DEFAULT_SCHED: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Sets the process-wide default scheduler (the harness `--sched` flag).
-/// Machines built afterwards without an explicit `sched` use `kind`. The
-/// choice never affects simulation results, only wall-clock speed.
-pub fn set_default_sched(kind: SchedKind) {
-    let idx = SchedKind::ALL.iter().position(|&k| k == kind).expect("in ALL") as u8;
-    DEFAULT_SCHED.store(idx, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide default scheduler.
-pub fn default_sched() -> SchedKind {
-    SchedKind::ALL[DEFAULT_SCHED.load(std::sync::atomic::Ordering::Relaxed) as usize]
-}
-
 /// Process-wide default coherence protocol, used by every
 /// [`MachineConfig`] whose `protocol` field is `None`. Encoded as the
 /// index into [`ProtocolKind::ALL`]; defaults to the flat model.
@@ -160,8 +142,8 @@ static DEFAULT_PROTOCOL: std::sync::atomic::AtomicU8 = std::sync::atomic::Atomic
 
 /// Sets the process-wide default coherence protocol (the harness
 /// `--protocol` flag). Machines built afterwards without an explicit
-/// `protocol` use `kind`. Unlike [`set_default_sched`] this changes
-/// simulation results: each protocol is its own deterministic model.
+/// `protocol` use `kind`. This changes simulation results: each protocol
+/// is its own deterministic model.
 pub fn set_default_protocol(kind: ProtocolKind) {
     let idx = ProtocolKind::ALL.iter().position(|&k| k == kind).expect("in ALL") as u8;
     DEFAULT_PROTOCOL.store(idx, std::sync::atomic::Ordering::Relaxed);

@@ -32,15 +32,17 @@
 //!
 //! A single machine's profile is a pure function of its event stream, and
 //! the event stream is a pure function of the simulation — so per-machine
-//! profiles are deterministic across schedulers and host thread counts.
+//! profiles are deterministic across host thread counts.
 //! Global aggregation happens in whatever order parallel jobs finish, so
 //! every merged quantity is a commutative, associative integer fold
 //! (counts, sums, bucket-wise histogram merges); ratios are derived only
 //! at serialization time. Labels are reported in sorted order.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use nuca_topology::NodeId;
 
@@ -467,6 +469,9 @@ impl ProfCore {
 /// [`crate::Machine::set_trace_sink`], and call
 /// [`ProfileCollector::finish`] on the other clone after the run.
 ///
+/// The clones share one single-threaded analyzer (a machine and its sinks
+/// live on one thread), so recording an event takes no lock.
+///
 /// ```
 /// use nucasim::{Machine, MachineConfig, ProfileCollector};
 ///
@@ -479,7 +484,7 @@ impl ProfCore {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ProfileCollector {
-    inner: Arc<Mutex<ProfCore>>,
+    inner: Rc<RefCell<ProfCore>>,
 }
 
 impl ProfileCollector {
@@ -491,16 +496,14 @@ impl ProfileCollector {
     /// Ends the stream and moves the accumulated [`Profile`] out (open
     /// node-residency runs are flushed), leaving the collector empty.
     pub fn finish(&self) -> Profile {
-        self.inner.lock().expect("profile collector poisoned").finish()
+        self.inner.borrow_mut().finish()
     }
 }
 
 impl TraceSink for ProfileCollector {
+    #[inline]
     fn record(&mut self, at: u64, event: SimEvent) {
-        self.inner
-            .lock()
-            .expect("profile collector poisoned")
-            .on_event(at, event);
+        self.inner.borrow_mut().on_event(at, event);
     }
 }
 

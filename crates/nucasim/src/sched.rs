@@ -1,4 +1,4 @@
-//! Event schedulers: the pending-resume queue driving the engine.
+//! The event scheduler: the pending-resume queue driving the engine.
 //!
 //! The engine's event set is tiny (at most one pending resume per CPU)
 //! but churns at enormous rates — every simulated memory access, delay
@@ -14,19 +14,20 @@
 //! # Tie-break contract
 //!
 //! The hard invariant of the whole simulator is byte-identical artifacts
-//! regardless of scheduler or `--jobs` count. The reference order, pinned
-//! by [`BinHeapQueue`], is lexicographic `(time, seq)` where `seq` is a
+//! at any `--jobs` count. The reference order, pinned by
+//! [`BinHeapQueue`], is lexicographic `(time, seq)` where `seq` is a
 //! per-queue monotone insertion counter: **events at the same tick pop in
 //! FIFO insertion order**. (The CPU id never participates: `seq` is
-//! unique.) [`TimeWheel`] preserves exactly this order; [`CheckedQueue`]
-//! runs both side by side and asserts every pop agrees — the cross-check
-//! mode behind [`SchedKind::Check`](crate::SchedKind).
+//! unique.) The engine owns a [`TimeWheel`], which preserves exactly this
+//! order; the heap survives as the oracle the wheel is differentially
+//! tested against and the baseline the replay benchmarks time it with.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 
-/// The scheduler interface the engine drives.
+/// The scheduler contract: what the engine's [`TimeWheel`] guarantees and
+/// the [`BinHeapQueue`] oracle defines.
 ///
 /// Entries are `(time, cpu)`; insertion order is the tie-break (see the
 /// [module docs](self)). `next_time` takes `&mut self` because the wheel
@@ -58,7 +59,8 @@ pub trait EventQueue {
 }
 
 /// The reference scheduler: `BinaryHeap<Reverse<(time, seq, cpu)>>`,
-/// exactly the engine's original event queue. O(log n) per operation.
+/// exactly the engine's original event queue. O(log n) per operation;
+/// the oracle for the wheel's tests and replay benchmarks.
 #[derive(Debug, Default)]
 pub struct BinHeapQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
@@ -91,14 +93,17 @@ impl EventQueue for BinHeapQueue {
     }
 }
 
-/// Level-0 geometry: 1024 one-cycle slots — every event within the
-/// current 1024-cycle block sits in the slot of its exact tick, so a slot
-/// is a plain FIFO of arena nodes.
-const L0_BITS: u32 = 10;
+/// Level-0 geometry: 4096 one-cycle slots — every event within the
+/// current 4096-cycle block sits in the slot of its exact tick, so a slot
+/// is a plain FIFO of arena nodes. 4096 bits of occupancy are 64 words,
+/// the most the one-word summary can index; the block is wide enough that
+/// handoff latencies and most backoff sleeps land here directly instead
+/// of taking the L1 cascade.
+const L0_BITS: u32 = 12;
 const L0_SLOTS: usize = 1 << L0_BITS;
 const L0_MASK: u64 = (L0_SLOTS as u64) - 1;
-/// Level-1 geometry: 64 slots of one 1024-cycle block each, covering the
-/// rest of the current 2^16-cycle (≈262 µs simulated) superblock. Backoff
+/// Level-1 geometry: 64 slots of one 4096-cycle block each, covering the
+/// rest of the current 2^18-cycle (≈1 ms simulated) superblock. Backoff
 /// caps (≤ 51 200 cycles) and workload think-time (≤ ~40 000) land here
 /// or closer; only preemption quanta and fault timers overflow.
 const L1_BITS: u32 = 6;
@@ -132,10 +137,10 @@ impl Fifo {
 
 /// Hierarchical time wheel with a heap-backed overflow.
 ///
-/// * **L0**: 1024 granularity-1 slots covering the block of current time.
+/// * **L0**: 4096 granularity-1 slots covering the block of current time.
 ///   Each in-window tick maps to exactly one slot, so per-slot FIFO order
 ///   *is* insertion order — the tie-break comes for free.
-/// * **L1**: 64 slots of 1024 cycles covering the rest of the current
+/// * **L1**: 64 slots of 4096 cycles covering the rest of the current
 ///   superblock; a slot's chain is relinked into L0 when time enters its
 ///   block.
 /// * **Overflow**: a `(time, seq)`-keyed min-heap for events beyond the
@@ -151,9 +156,9 @@ impl Fifo {
 /// All storage is data-oriented: events are 16-byte nodes in one arena,
 /// slots are 8-byte head/tail pairs, and cascades *relink* nodes instead
 /// of copying them — the steady state allocates nothing and the whole
-/// structure (arena + headers + bitmaps ≈ 10 KB, of which only the live
-/// chains are touched) stays cache-resident under engine pressure, where
-/// the simulation's own working set would evict anything bulkier.
+/// structure (arena + headers + bitmaps ≈ 34 KB, of which only the live
+/// chains and a few bitmap words are touched) stays cache-resident under
+/// engine pressure.
 #[derive(Debug)]
 pub struct TimeWheel {
     /// Lower bound on the next event's time; advanced by pops/cascades.
@@ -454,57 +459,6 @@ impl EventQueue for TimeWheel {
     }
 }
 
-/// Cross-check scheduler: drives a [`TimeWheel`] and a [`BinHeapQueue`]
-/// in lockstep and asserts every observation agrees. Selected via
-/// [`SchedKind::Check`](crate::SchedKind); asserts are active in release
-/// builds too — this mode exists to validate, not to be fast.
-#[derive(Debug, Default)]
-pub struct CheckedQueue {
-    wheel: TimeWheel,
-    heap: BinHeapQueue,
-}
-
-impl CheckedQueue {
-    /// An empty cross-checking queue.
-    pub fn new() -> CheckedQueue {
-        CheckedQueue::default()
-    }
-}
-
-impl EventQueue for CheckedQueue {
-    fn push(&mut self, t: u64, cpu: u32) {
-        self.wheel.push(t, cpu);
-        self.heap.push(t, cpu);
-    }
-
-    fn next_time(&mut self) -> Option<u64> {
-        let w = self.wheel.next_time();
-        let h = self.heap.next_time();
-        assert_eq!(w, h, "wheel/heap next_time diverge");
-        w
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let w = self.wheel.pop();
-        let h = self.heap.pop();
-        assert_eq!(w, h, "wheel/heap pop order diverges");
-        w
-    }
-
-    fn pop_at_most(&mut self, limit: u64) -> Option<(u64, u32)> {
-        let w = self.wheel.pop_at_most(limit);
-        let h = self.heap.pop_at_most(limit);
-        assert_eq!(w, h, "wheel/heap pop_at_most diverges");
-        w
-    }
-
-    fn len(&self) -> usize {
-        let w = self.wheel.len();
-        assert_eq!(w, self.heap.len(), "wheel/heap length diverges");
-        w
-    }
-}
-
 /// One recorded scheduler operation (for replay benchmarks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedOp {
@@ -524,7 +478,9 @@ pub enum SchedOp {
 /// [`Machine::record_sched_ops`](crate::Machine::record_sched_ops), run a
 /// workload, then [`take`](SchedOpLog::take) the trace and replay it
 /// against any [`EventQueue`] — this is how `crates/bench` measures the
-/// schedulers in isolation on a real fig5 event mix.
+/// wheel against the heap in isolation on a real fig5 event mix. The
+/// engine records only while a log is installed: otherwise the hook costs
+/// one branch per queue operation, like the trace sink.
 #[derive(Debug, Clone, Default)]
 pub struct SchedOpLog {
     ops: Arc<Mutex<Vec<SchedOp>>>,
@@ -540,112 +496,10 @@ impl SchedOpLog {
     pub fn take(&self) -> Vec<SchedOp> {
         std::mem::take(&mut self.ops.lock().expect("sched log poisoned"))
     }
-}
 
-/// A [`TimeWheel`] that records every operation into a [`SchedOpLog`].
-#[derive(Debug)]
-pub struct RecordingQueue {
-    inner: TimeWheel,
-    log: SchedOpLog,
-}
-
-impl RecordingQueue {
-    /// Wraps a fresh wheel, recording into `log`.
-    pub fn new(log: SchedOpLog) -> RecordingQueue {
-        RecordingQueue {
-            inner: TimeWheel::new(),
-            log,
-        }
-    }
-}
-
-impl EventQueue for RecordingQueue {
-    fn push(&mut self, t: u64, cpu: u32) {
-        self.log
-            .ops
-            .lock()
-            .expect("sched log poisoned")
-            .push(SchedOp::Push { t, cpu });
-        self.inner.push(t, cpu);
-    }
-
-    fn next_time(&mut self) -> Option<u64> {
-        self.inner.next_time()
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        let out = self.inner.pop();
-        if out.is_some() {
-            self.log
-                .ops
-                .lock()
-                .expect("sched log poisoned")
-                .push(SchedOp::Pop);
-        }
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-/// The engine's queue: enum dispatch keeps the per-event scheduler call
-/// a predictable branch instead of a virtual call.
-#[derive(Debug)]
-pub(crate) enum SchedQueue {
-    Wheel(TimeWheel),
-    Heap(BinHeapQueue),
-    Check(CheckedQueue),
-    Record(RecordingQueue),
-}
-
-impl SchedQueue {
-    pub(crate) fn new(kind: crate::SchedKind) -> SchedQueue {
-        match kind {
-            crate::SchedKind::Wheel => SchedQueue::Wheel(TimeWheel::new()),
-            crate::SchedKind::Heap => SchedQueue::Heap(BinHeapQueue::new()),
-            crate::SchedKind::Check => SchedQueue::Check(CheckedQueue::new()),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, t: u64, cpu: u32) {
-        match self {
-            SchedQueue::Wheel(q) => q.push(t, cpu),
-            SchedQueue::Heap(q) => q.push(t, cpu),
-            SchedQueue::Check(q) => q.push(t, cpu),
-            SchedQueue::Record(q) => q.push(t, cpu),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn next_time(&mut self) -> Option<u64> {
-        match self {
-            SchedQueue::Wheel(q) => q.next_time(),
-            SchedQueue::Heap(q) => q.next_time(),
-            SchedQueue::Check(q) => q.next_time(),
-            SchedQueue::Record(q) => q.next_time(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop_at_most(&mut self, limit: u64) -> Option<(u64, u32)> {
-        match self {
-            SchedQueue::Wheel(q) => q.pop_at_most(limit),
-            SchedQueue::Heap(q) => q.pop_at_most(limit),
-            SchedQueue::Check(q) => q.pop_at_most(limit),
-            SchedQueue::Record(q) => q.pop_at_most(limit),
-        }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            SchedQueue::Wheel(q) => q.len() == 0,
-            SchedQueue::Heap(q) => q.len() == 0,
-            SchedQueue::Check(q) => q.len() == 0,
-            SchedQueue::Record(q) => q.len() == 0,
-        }
+    /// Appends one operation (the engine's recording hook).
+    pub(crate) fn record(&self, op: SchedOp) {
+        self.ops.lock().expect("sched log poisoned").push(op);
     }
 }
 
@@ -657,11 +511,7 @@ mod tests {
     #[test]
     fn fifo_tie_break_same_tick() {
         // Events on one tick pop in insertion order, whatever the cpu ids.
-        for q in [
-            &mut TimeWheel::new() as &mut dyn EventQueue,
-            &mut BinHeapQueue::new(),
-            &mut CheckedQueue::new(),
-        ] {
+        for q in [&mut TimeWheel::new() as &mut dyn EventQueue, &mut BinHeapQueue::new()] {
             for cpu in [9u32, 3, 7, 3, 0] {
                 q.push(100, cpu);
             }
@@ -719,10 +569,10 @@ mod tests {
         let mut w = TimeWheel::new();
         let mut h = BinHeapQueue::new();
         // Straddle several L0 blocks and superblock wraps (the L0 block
-        // is 1024 cycles, the superblock 65 536).
+        // is 4096 cycles, the superblock 262 144).
         let times = [
-            0u64, 1, 1023, 1024, 1025, 4095, 4096, 4097, 8000, 65_535, 65_536, 131_071, 131_072,
-            262_143, 262_144, 262_145, 300_000, 524_287, 524_288, 1 << 21,
+            0u64, 1, 1023, 1024, 1025, 4095, 4096, 4097, 8000, 8191, 8192, 65_535, 65_536,
+            131_071, 131_072, 262_143, 262_144, 262_145, 300_000, 524_287, 524_288, 1 << 21,
         ];
         for (i, &t) in times.iter().enumerate() {
             w.push(t, i as u32);
@@ -805,46 +655,5 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
-    }
-
-    #[test]
-    fn recording_queue_captures_ops_and_replays() {
-        let log = SchedOpLog::new();
-        let mut q = RecordingQueue::new(log.clone());
-        q.push(5, 1);
-        q.push(3, 2);
-        let first = q.pop();
-        assert_eq!(first, Some((3, 2)));
-        let ops = log.take();
-        assert_eq!(
-            ops,
-            vec![
-                SchedOp::Push { t: 5, cpu: 1 },
-                SchedOp::Push { t: 3, cpu: 2 },
-                SchedOp::Pop,
-            ]
-        );
-        assert!(log.take().is_empty(), "take drains the log");
-        // Replaying the ops against the reference gives the same pops.
-        let mut h = BinHeapQueue::new();
-        let mut pops = Vec::new();
-        for op in &ops {
-            match *op {
-                SchedOp::Push { t, cpu } => h.push(t, cpu),
-                SchedOp::Pop => pops.push(h.pop()),
-            }
-        }
-        assert_eq!(pops, vec![first]);
-    }
-
-    #[test]
-    #[should_panic(expected = "pop order diverges")]
-    fn checked_queue_panics_on_divergence() {
-        let mut q = CheckedQueue::new();
-        q.push(10, 1);
-        // Sabotage the heap side so the next pop disagrees.
-        q.heap.push(5, 9);
-        q.wheel.push(5, 8);
-        let _ = q.pop();
     }
 }

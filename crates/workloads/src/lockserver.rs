@@ -29,7 +29,7 @@
 //! Determinism: all randomness (keys, mixes, schedules) comes from
 //! [`SplitMix64`] streams split off the machine seed, so a run is a pure
 //! function of its config — the experiments crate byte-compares sweep
-//! TSVs across `--jobs` and `--sched` on exactly this property.
+//! TSVs across `--jobs` on exactly this property.
 
 use std::cell::RefCell;
 use std::rc::Rc;
