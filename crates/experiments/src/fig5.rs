@@ -169,4 +169,18 @@ mod tests {
         assert!(hbo_gt < mcs, "HBO_GT {hbo_gt} vs MCS {mcs}");
         assert!(hbo_gt < 0.8);
     }
+
+    /// Regression: HIER's per-distance table once mapped the cross-node
+    /// distance to the *local* backoff, so on WildFire it handed the lock
+    /// across nodes about as often as MCS (0.51 vs HBO's 0.02).
+    #[test]
+    fn hier_keeps_the_lock_on_node_like_hbo() {
+        let ratio = |kind| {
+            run_modern(&config(Scale::Full, kind, 1500))
+                .handoff_ratio
+                .expect("contended cell hands off")
+        };
+        let (hier, mcs) = (ratio(LockKind::Hier), ratio(LockKind::Mcs));
+        assert!(hier < mcs / 2.0, "HIER handoff ratio {hier} vs MCS {mcs}");
+    }
 }

@@ -102,7 +102,10 @@ impl LockKind {
                 HboGtSdConfig::default(),
             )),
             LockKind::Ticket => AnyLock::Ticket(TicketLock::new()),
-            // Distance classes: same CPU, same node, cross node.
+            // Distance classes on this flat topology: entry 1 covers the
+            // same CPU and same node (distances 0 and 1), entry 2 the
+            // cross-node distance 2; entry 3 is reached only on deeper
+            // topologies.
             LockKind::Hier => AnyLock::Hier(HierHboLock::new(
                 Arc::new(Topology::symmetric(nodes.max(1), 2)),
                 LevelBackoff::geometric(3, 32, 1024, 4),

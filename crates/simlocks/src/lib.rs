@@ -403,18 +403,17 @@ pub fn build_lock(
     }
 }
 
-/// Per-distance backoff ladder for the hierarchical lock: distances 0
-/// and 1 (same processor / same node) use the local config, distance 2
-/// the remote config, and each extra topology level doubles from there —
-/// so on two-level machines HIER degenerates to HBO's two-tier scheme,
-/// as the paper's "expand hierarchically" remark intends.
+/// Per-distance backoff ladder for the hierarchical lock.
+/// [`LevelBackoff::config`](hbo_locks::LevelBackoff::config) reads
+/// distance `d` from entry `d - 1`; same-node distances run from 1 to
+/// `extra_levels() + 1` and the cross-node distance is
+/// `extra_levels() + 2` (see [`Topology::distance`]). Every same-node
+/// entry gets the local config and the last entry the remote one, so on
+/// flat machines HIER is HBO's two-tier scheme, as the paper's "expand
+/// hierarchically" remark intends.
 fn hier_levels(topo: &Topology, params: &SimLockParams) -> hbo_locks::LevelBackoff {
-    let mut cfgs = vec![params.local, params.local, params.remote];
-    let mut b = params.remote;
-    for _ in 0..topo.extra_levels() {
-        b = BackoffConfig::new(b.base.saturating_mul(2), b.factor, b.cap.saturating_mul(2));
-        cfgs.push(b);
-    }
+    let mut cfgs = vec![params.local; topo.extra_levels() + 1];
+    cfgs.push(params.remote);
     hbo_locks::LevelBackoff::new(cfgs)
 }
 
@@ -484,6 +483,35 @@ mod tests {
             );
             assert_eq!(lock.kind(), kind);
             let _session = lock.session(CpuId(0), NodeId(0));
+        }
+    }
+
+    #[test]
+    fn hier_levels_map_same_node_local_and_cross_node_remote() {
+        let cmp = Topology::builder()
+            .hierarchical_node(&[2, 4])
+            .hierarchical_node(&[2, 4])
+            .build()
+            .expect("static shape");
+        let params = SimLockParams::default();
+        for topo in [Topology::symmetric(2, 14), cmp] {
+            let table = hier_levels(&topo, &params);
+            let mut seen_remote = false;
+            for a in topo.cpus() {
+                for b in topo.cpus() {
+                    // The session classifies holders exactly like this.
+                    let d = topo.distance(a, b).max(1);
+                    let want = if topo.node_of(a) == topo.node_of(b) {
+                        params.local
+                    } else {
+                        seen_remote = true;
+                        params.remote
+                    };
+                    assert_eq!(*table.config(d), want, "{a} vs {b} at distance {d}");
+                }
+            }
+            assert!(seen_remote, "topology spans nodes");
+            assert_eq!(table.levels(), topo.extra_levels() + 2);
         }
     }
 
