@@ -19,7 +19,8 @@ use nuca_experiments::{run_experiment, runner, tracecap, Report, Scale, EXPERIME
 use nuca_experiments::UnknownExperiment;
 
 const USAGE: &str = "usage: experiments [--fast] [--out DIR] [--jobs N] \
-     [--protocol flat|mesi|dragon] [--binding rr|clustered] [--kinds NAME,NAME,...] [--twa-slots N] \
+     [--protocol flat|mesi|dragon] [--binding rr|clustered] \
+     [--kinds NAME,NAME,...] [--twa-slots N] \
      [--twa-hash mod|stride] [--bench-json PATH] [--trace PATH] \
      [--metrics-json PATH] [--profile PATH] [--shards N] [--zipf THETA] \
      [--arrival-gap CYCLES] <id>... | all | --list";

@@ -88,13 +88,23 @@ impl Pair {
 
     fn next_time(&mut self) -> Option<u64> {
         let w = self.wheel.next_time();
-        assert_eq!(w, self.heap.next_time(), "step {}: next_time diverges", self.step);
+        assert_eq!(
+            w,
+            self.heap.next_time(),
+            "step {}: next_time diverges",
+            self.step
+        );
         w
     }
 
     fn check_len(&mut self) {
         self.step += 1;
-        assert_eq!(self.wheel.len(), self.heap.len(), "step {}: len diverges", self.step);
+        assert_eq!(
+            self.wheel.len(),
+            self.heap.len(),
+            "step {}: len diverges",
+            self.step
+        );
         assert_eq!(self.wheel.is_empty(), self.heap.is_empty());
     }
 
@@ -169,7 +179,10 @@ fn random_streams_agree_with_the_oracle() {
             *sum += n;
         }
     }
-    for (class, n) in [Class::Tie, Class::L0, Class::L1, Class::Overflow].iter().zip(total) {
+    for (class, n) in [Class::Tie, Class::L0, Class::L1, Class::Overflow]
+        .iter()
+        .zip(total)
+    {
         assert!(n > 1_000, "{class:?} pushes under-exercised: {n}");
     }
 }
@@ -246,14 +259,26 @@ fn recorded_faulted_log_replays_identically() {
     let mut cfg = fig5_cell(LockKind::HboGtSd);
     cfg.machine = cfg
         .machine
-        .with_preemption(PreemptionConfig { mean_gap: 200_000, quantum: 300_000 })
+        .with_preemption(PreemptionConfig {
+            mean_gap: 200_000,
+            quantum: 300_000,
+        })
         .with_faults(
             FaultConfig::none()
-                .with_holder_preempt(HolderPreemptConfig { per_mille: 100, quantum: 20_000 })
-                .with_migration(MigrationConfig { mean_gap: 400_000, pause: 2_000 }),
+                .with_holder_preempt(HolderPreemptConfig {
+                    per_mille: 100,
+                    quantum: 20_000,
+                })
+                .with_migration(MigrationConfig {
+                    mean_gap: 400_000,
+                    pause: 2_000,
+                }),
         );
     let (report, ops) = run_modern_recorded(&cfg);
     assert!(report.finished_all);
-    assert!(report.preemptions > 0 && report.migrations > 0, "faults fired");
+    assert!(
+        report.preemptions > 0 && report.migrations > 0,
+        "faults fired"
+    );
     replay_agrees(&ops);
 }
