@@ -1084,8 +1084,6 @@ mod tests {
     /// the same pops as the wheel.
     #[test]
     fn sched_op_log_records_every_push_and_pop() {
-        use crate::sched::BinHeapQueue;
-
         let fcfg = crate::FaultConfig::none()
             .with_holder_preempt(crate::HolderPreemptConfig { per_mille: 500, quantum: 10_000 });
         let (ops, r) = faulted_machine(Some(fcfg));
@@ -1093,17 +1091,6 @@ mod tests {
         let pushes = ops.iter().filter(|op| matches!(op, SchedOp::Push { .. })).count();
         assert_eq!(pushes, ops.len() - pushes, "every push popped");
         assert!(pushes as u64 <= r.events, "inline resumes skip the queue");
-        let replay = |q: &mut dyn EventQueue| -> Vec<(u64, u32)> {
-            let mut out = Vec::new();
-            for op in &ops {
-                match *op {
-                    SchedOp::Push { t, cpu } => q.push(t, cpu),
-                    SchedOp::Pop => out.push(q.pop().expect("recorded pop")),
-                }
-            }
-            out
-        };
-        assert_eq!(replay(&mut TimeWheel::new()), replay(&mut BinHeapQueue::new()));
     }
 
     #[test]

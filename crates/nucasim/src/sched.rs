@@ -506,14 +506,12 @@ impl SchedOpLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
 
     #[test]
     fn fifo_tie_break_same_tick() {
         // Events on one tick pop in insertion order, whatever the cpu ids.
-        for q in [
-            &mut TimeWheel::new() as &mut dyn EventQueue,
-            &mut BinHeapQueue::new(),
-        ] {
+        for q in [&mut TimeWheel::new() as &mut dyn EventQueue, &mut BinHeapQueue::new()] {
             for cpu in [9u32, 3, 7, 3, 0] {
                 q.push(100, cpu);
             }
@@ -587,6 +585,43 @@ mod tests {
     }
 
     #[test]
+    fn randomized_against_reference() {
+        // Engine-shaped fuzz: pushes are always ≥ the last popped time,
+        // with the engine's real delay mix (tiny latencies, backoff-sized
+        // sleeps, rare preemption-sized jumps that hit the overflow).
+        let mut rng = SplitMix64::new(0xC0FFEE);
+        let mut w = TimeWheel::new();
+        let mut h = BinHeapQueue::new();
+        let mut now = 0u64;
+        let mut pending = 0u32;
+        for _ in 0..200_000 {
+            let do_push = pending == 0 || rng.next_below(100) < 55;
+            if do_push {
+                let d = match rng.next_below(100) {
+                    0..=59 => rng.next_below(500),           // coherence latencies
+                    60..=89 => rng.next_below(60_000),       // backoff / think time
+                    90..=97 => rng.next_below(400_000),      // preemption quanta
+                    _ => rng.next_below(20_000_000),         // fault timers
+                };
+                let cpu = rng.next_below(28) as u32;
+                w.push(now + d, cpu);
+                h.push(now + d, cpu);
+                pending += 1;
+            } else {
+                let (e, r) = (w.pop(), h.pop());
+                assert_eq!(e, r);
+                now = e.expect("pending > 0").0;
+                pending -= 1;
+            }
+            assert_eq!(w.len(), h.len());
+        }
+        while let Some(e) = h.pop() {
+            assert_eq!(w.pop(), Some(e));
+        }
+        assert_eq!(w.pop(), None);
+    }
+
+    #[test]
     fn wheel_reports_len_and_empty() {
         let mut w = TimeWheel::new();
         assert!(w.is_empty());
@@ -599,5 +634,26 @@ mod tests {
         w.pop();
         assert!(w.is_empty());
         assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn pop_is_time_monotone() {
+        let mut rng = SplitMix64::new(42);
+        let mut w = TimeWheel::new();
+        let mut now = 0;
+        for _ in 0..10_000 {
+            w.push(now + rng.next_below(100_000), rng.next_below(16) as u32);
+            if rng.next_below(2) == 0 {
+                if let Some((t, _)) = w.pop() {
+                    assert!(t >= now, "time went backwards: {t} < {now}");
+                    now = t;
+                }
+            }
+        }
+        let mut last = now;
+        while let Some((t, _)) = w.pop() {
+            assert!(t >= last);
+            last = t;
+        }
     }
 }
