@@ -330,9 +330,9 @@ print(f"falsesharing OK: flat gap 0, MESI colocated/padded {ratio:.2f}x "
 EOF
 fi
 
-echo "==> million-lock memory regression (tiered per-lock stats, release)"
+echo "==> million-lock memory regression (tiered per-lock stats, lazy spans, release)"
 cargo test --release -q -p nucasim --lib -- --ignored \
-    million_lock_indices_stay_bounded
+    million_lock_indices_stay_bounded million_span_words_materialize_on_touch
 
 echo "==> model checker smoke (exhaustive pass, mutants caught, usage errors)"
 out=$(./target/release/nuca-mcheck --kind all --cpus 2 \
@@ -341,6 +341,18 @@ echo "$out" | tail -1
 if ! grep -q "checked 13 subject" <<<"$out"; then
     echo "expected --kind all to exhaust every registered kind (13 subjects)"
     exit 1
+fi
+if command -v python3 >/dev/null 2>&1; then
+    python3 - <<'EOF'
+# The checked-in baseline must keep the mcheck block a harness
+# regeneration does not write (see EXPERIMENTS.md).
+import json
+base = json.load(open("BENCH_harness.json")).get("mcheck")
+if base is None:
+    raise SystemExit('BENCH_harness.json lost its "mcheck" block')
+now = json.load(open("target/ci-experiments/mcheck.json"))
+print(f"mcheck: {now['states_per_sec']} vs baseline {base['states_per_sec']} states/s")
+EOF
 fi
 for mutant in racy_tatas leaky_hbo_gt; do
     if out=$(./target/release/nuca-mcheck --kind "$mutant" 2>/dev/null); then

@@ -125,7 +125,10 @@ impl RhLock {
             Err(v) if v == L_FREE => {
                 match c.compare_exchange(L_FREE, HELD, Ordering::Acquire, Ordering::Relaxed) {
                     Ok(_) => L_FREE,
-                    Err(v) => v,
+                    // A neighbor took the tag first and may already have
+                    // released to FREE, which must not read as a capture:
+                    // report the copy busy so the caller retries.
+                    Err(_) => HELD,
                 }
             }
             Err(v) => v,

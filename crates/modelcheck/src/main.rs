@@ -96,6 +96,8 @@ fn main() -> ExitCode {
     let mut total_states = 0u64;
     let mut total_transitions = 0u64;
     let mut failed = false;
+    // One bench-JSON line per exhaustively checked subject.
+    let mut per_subject: Vec<String> = Vec::new();
 
     for subject in &subjects {
         let mut cfg = CheckConfig::new(*subject);
@@ -136,6 +138,14 @@ fn main() -> ExitCode {
         let ms = sub_started.elapsed().as_secs_f64() * 1e3;
         total_states += report.stats.distinct_states;
         total_transitions += report.stats.transitions;
+        per_subject.push(format!(
+            "    {{\"kind\": \"{}\", \"distinct_states\": {}, \"transitions\": {}, \
+             \"wall_ms\": {ms:.1}, \"states_per_sec\": {:.0}}}",
+            subject.name(),
+            report.stats.distinct_states,
+            report.stats.transitions,
+            report.stats.distinct_states as f64 / (ms / 1e3).max(1e-9),
+        ));
         match &report.counterexample {
             None => {
                 let exhaustive = if report.stats.truncated == 0 {
@@ -183,9 +193,10 @@ fn main() -> ExitCode {
             "{{\n  \"tool\": \"nuca-mcheck\",\n  \"cpus\": {cpus},\n  \"iters\": {iters},\n  \
              \"subjects\": {},\n  \"distinct_states\": {total_states},\n  \
              \"transitions\": {total_transitions},\n  \"wall_ms\": {:.1},\n  \
-             \"states_per_sec\": {states_per_sec:.0}\n}}\n",
+             \"states_per_sec\": {states_per_sec:.0},\n  \"per_subject\": [\n{}\n  ]\n}}\n",
             subjects.len(),
             total.as_secs_f64() * 1e3,
+            per_subject.join(",\n"),
         );
         match std::fs::write(&path, json) {
             Ok(()) => eprintln!("wrote {}", path.display()),

@@ -259,8 +259,8 @@ impl SetAssoc {
 /// Home node of a line: the home of its first word (clamped to the
 /// allocated range, for the tail line of the address space).
 fn line_home(mem: &MemorySystem, line: usize, shift: u32) -> NodeId {
-    let w = (line << shift).min(mem.values.len() - 1);
-    mem.homes[w]
+    let w = (line << shift).min(mem.len() - 1);
+    mem.home(Addr(w as u32))
 }
 
 /// Latency class of a fetch served by CPU `server`'s cache, or by
@@ -526,15 +526,26 @@ impl MesiProtocol {
     ) {
         let lat = mem.latency;
         let first = line << self.c.line_shift;
-        let last = (first + (1usize << self.c.line_shift)).min(mem.values.len());
+        let last = (first + (1usize << self.c.line_shift)).min(mem.len());
         let mut busy = self.c.dir[line].busy_until.max(complete_at);
         let mut any = false;
         let mut new_sharers = 0u128;
+        // The words of a line wholly below the first span are their own
+        // slots (checked once, not per word); past it an untouched span
+        // word has no slot and so no watchers.
+        let direct = mem.slots.is_direct(last);
         for w in first..last {
-            if mem.watch_head[w] == WNIL {
+            let slot = if direct {
+                w
+            } else if let Some(slot) = mem.slots.get(Addr(w as u32)) {
+                slot
+            } else {
+                continue;
+            };
+            if mem.watch_head[slot] == WNIL {
                 continue;
             }
-            let mut id = mem.watch_head[w];
+            let mut id = mem.watch_head[slot];
             let mut kept_head = WNIL;
             let mut kept_tail = WNIL;
             while id != WNIL {
@@ -570,7 +581,7 @@ impl MesiProtocol {
                     insert_with_eviction(&mut self.c, mem, wcpu, w_node, line, s, stats, trace);
                 }
                 new_sharers |= 1u128 << wc;
-                let val = mem.values[w];
+                let val = mem.values[slot];
                 if val != equals {
                     woken.push((wcpu, wake_at, val));
                     mem.wnodes[id as usize].next = mem.wfree;
@@ -586,8 +597,8 @@ impl MesiProtocol {
                 }
                 id = next;
             }
-            mem.watch_head[w] = kept_head;
-            mem.watch_tail[w] = kept_tail;
+            mem.watch_head[slot] = kept_head;
+            mem.watch_tail[slot] = kept_tail;
         }
         let dd = &mut self.c.dir[line];
         dd.busy_until = busy;
@@ -620,8 +631,8 @@ impl CoherenceProtocol for MesiProtocol {
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) -> AccessOutcome {
         woken.clear();
-        let word = addr.index();
-        let line = self.c.line_of(word);
+        let line = self.c.line_of(addr.index());
+        let slot = mem.slot_mut(addr);
         self.c.ensure_line(line);
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
@@ -640,14 +651,14 @@ impl CoherenceProtocol for MesiProtocol {
                 stats.count_hit();
                 return AccessOutcome {
                     complete_at: now + lat.l1_hit,
-                    value: mem.values[word],
+                    value: mem.values[slot],
                 };
             }
             if d.owner == me {
                 // Write hit in M or E (E upgrades to M silently).
                 stats.count_hit();
                 self.c.dir[line].dirty = true;
-                let old = MemorySystem::apply_op(&mut mem.values[word], op);
+                let old = MemorySystem::apply_op(&mut mem.values[slot], op);
                 let mut l = lat.l1_hit;
                 if op.is_atomic() {
                     l += lat.atomic_extra;
@@ -689,7 +700,7 @@ impl CoherenceProtocol for MesiProtocol {
             dd.sharers = 0;
             dd.dirty = true;
             dd.busy_until = busy;
-            let old = MemorySystem::apply_op(&mut mem.values[word], op);
+            let old = MemorySystem::apply_op(&mut mem.values[slot], op);
             self.wake_line(mem, line, cpu, my_node, home, complete_at, stats, &mut trace, woken);
             return AccessOutcome { complete_at, value: old };
         }
@@ -731,7 +742,7 @@ impl CoherenceProtocol for MesiProtocol {
             }
         }
         insert_with_eviction(&mut self.c, mem, cpu, my_node, line, start, stats, &mut trace);
-        let old = MemorySystem::apply_op(&mut mem.values[word], op);
+        let old = MemorySystem::apply_op(&mut mem.values[slot], op);
         if op.is_write() {
             self.wake_line(mem, line, cpu, my_node, home, complete_at, stats, &mut trace, woken);
         }
@@ -776,8 +787,8 @@ impl CoherenceProtocol for DragonProtocol {
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) -> AccessOutcome {
         woken.clear();
-        let word = addr.index();
-        let line = self.c.line_of(word);
+        let line = self.c.line_of(addr.index());
+        let slot = mem.slot_mut(addr);
         self.c.ensure_line(line);
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
@@ -795,7 +806,7 @@ impl CoherenceProtocol for DragonProtocol {
                 stats.count_hit();
                 return AccessOutcome {
                     complete_at: now + lat.l1_hit,
-                    value: mem.values[word],
+                    value: mem.values[slot],
                 };
             }
             // Read miss: the owner (if any) serves and *keeps* ownership
@@ -811,7 +822,7 @@ impl CoherenceProtocol for DragonProtocol {
             dd.busy_until = busy;
             dd.sharers |= mebit;
             insert_with_eviction(&mut self.c, mem, cpu, my_node, line, start, stats, &mut trace);
-            return AccessOutcome { complete_at, value: mem.values[word] };
+            return AccessOutcome { complete_at, value: mem.values[slot] };
         }
 
         // Write: ensure a copy (fetch on miss), then update in place.
@@ -850,7 +861,7 @@ impl CoherenceProtocol for DragonProtocol {
             h &= h - 1;
             node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
         }
-        let mut id = mem.watch_head[word];
+        let mut id = mem.watch_head[slot];
         while id != WNIL {
             let n = mem.wnodes[id as usize];
             node_mask |= 1 << mem.node_of(CpuId(n.cpu as usize)).index();
@@ -921,15 +932,15 @@ impl CoherenceProtocol for DragonProtocol {
         dd.owner = me;
         dd.sharers &= !mebit;
         dd.dirty = true;
-        let old = MemorySystem::apply_op(&mut mem.values[word], op);
-        let new_value = mem.values[word];
+        let old = MemorySystem::apply_op(&mut mem.values[slot], op);
+        let new_value = mem.values[slot];
 
         // Wake watchers on the written word only: their copies were
         // updated in place by the broadcast, so spinners whose condition
         // still fails pay nothing — the Dragon advantage under false
         // sharing. Watchers on other words of the line are untouched.
-        if mem.watch_head[word] != WNIL {
-            let mut id = mem.watch_head[word];
+        if mem.watch_head[slot] != WNIL {
+            let mut id = mem.watch_head[slot];
             let mut kept_head = WNIL;
             let mut kept_tail = WNIL;
             while id != WNIL {
@@ -957,8 +968,8 @@ impl CoherenceProtocol for DragonProtocol {
                 }
                 id = next;
             }
-            mem.watch_head[word] = kept_head;
-            mem.watch_tail[word] = kept_tail;
+            mem.watch_head[slot] = kept_head;
+            mem.watch_tail[slot] = kept_tail;
         }
         AccessOutcome { complete_at, value: old }
     }

@@ -7,7 +7,7 @@ use nuca_topology::{CpuId, NodeId, Topology};
 
 use crate::config::MachineConfig;
 use crate::faults::{FaultConfig, FaultState};
-use crate::mem::{Addr, MemOp, MemorySystem};
+use crate::mem::{Addr, MemImage, MemOp, MemorySystem};
 use crate::preempt::PreemptState;
 use crate::program::{Command, CpuCtx, Program};
 use crate::rng::SplitMix64;
@@ -74,8 +74,8 @@ impl RunStatus {
 /// values, decoupled from the machine so it can outlive it.
 ///
 /// Produced by [`Machine::into_report`], which *moves* the accumulated
-/// lock traces out of the machine and materializes memory values exactly
-/// once — nothing on this path clones per-run data.
+/// lock traces and the materialized memory values out of the machine —
+/// nothing on this path clones per-run data.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// Simulated time when the run stopped (cycles).
@@ -96,8 +96,8 @@ pub struct SimReport {
     /// limit), in index order. Empty unless a workload recorded past the
     /// limit.
     pub lock_tallies: Vec<(usize, LockTally)>,
-    /// Final values of all allocated words.
-    values: Vec<u64>,
+    /// Final values of the materialized words, located by address.
+    memory: MemImage,
     /// Preemption windows applied.
     pub preemptions: u64,
     /// Injected thread migrations applied.
@@ -118,7 +118,7 @@ impl SimReport {
     /// Panics if `addr` was not allocated in the machine that produced
     /// this report.
     pub fn final_value(&self, addr: Addr) -> u64 {
-        self.values[addr.index()]
+        self.memory.value(addr)
     }
 
     /// End-to-end time in seconds of simulated execution.
@@ -581,9 +581,9 @@ impl Machine {
 
     /// Consumes the machine, producing the full [`SimReport`].
     ///
-    /// Lock traces are moved (not cloned) out of the statistics and final
-    /// memory values are materialized once, here — keeping repeated
-    /// [`Machine::run`] continuations free of per-call copying.
+    /// Lock traces and the memory's value column are moved (not cloned)
+    /// out of the machine, here — keeping repeated [`Machine::run`]
+    /// continuations free of per-call copying.
     pub fn into_report(mut self) -> SimReport {
         let finish_times = self.cpus.finished_at.clone();
         let finished_all = self.cpus.all_done();
@@ -595,7 +595,7 @@ impl Machine {
             node_traffic: self.stats.node_traffic().to_vec(),
             lock_traces: self.stats.take_locks(),
             lock_tallies: self.stats.take_tallies(),
-            values: self.mem.final_values(),
+            memory: self.mem.into_image(),
             preemptions: self.stats.preemptions(),
             migrations: self.stats.migrations(),
             anger_episodes: self.stats.anger_episodes(),
@@ -1167,6 +1167,65 @@ mod tests {
         assert_eq!(migrate_events, r.migrations, "one event per counted migration");
     }
 
+    /// Release-mode footprint regression: a lockserver-shaped machine
+    /// (shard locks, then 10^6 object words in per-node spans) stores
+    /// state only for its dense words and the objects its requests touch,
+    /// not for the whole address space. Run via `ci.sh` with `--release`.
+    #[test]
+    #[ignore = "release-mode memory regression; run explicitly via ci.sh"]
+    fn million_span_words_materialize_on_touch() {
+        /// Per key: read the shard lock word, then bump the object.
+        struct Touch {
+            lock: Addr,
+            keys: Vec<Addr>,
+            step: usize,
+        }
+        impl Program for Touch {
+            fn resume(&mut self, _ctx: &mut CpuCtx<'_>, _last: Option<u64>) -> Command {
+                let (i, bump) = (self.step / 2, self.step % 2 == 1);
+                self.step += 1;
+                match self.keys.get(i) {
+                    None => Command::Done,
+                    Some(&key) if bump => Command::FetchAdd { addr: key, delta: 1 },
+                    Some(_) => Command::Read(self.lock),
+                }
+            }
+        }
+
+        const OBJECTS: usize = 1_000_000;
+        let nodes = 4;
+        let mut m = Machine::new(MachineConfig::wildfire(nodes, 4).with_seed(3));
+        let locks: Vec<Addr> = (0..64).map(|s| m.mem_mut().alloc(NodeId(s % nodes))).collect();
+        let spans: Vec<Addr> = (0..nodes)
+            .map(|n| m.mem_mut().alloc_span(NodeId(n), OBJECTS / nodes))
+            .collect();
+        let dense = m.mem().materialized_words();
+        assert_eq!(dense, locks.len());
+        assert_eq!(m.mem().len(), dense + OBJECTS);
+
+        let mut rng = SplitMix64::new(11);
+        let mut touched = std::collections::HashSet::new();
+        for c in 0..16 {
+            let keys: Vec<Addr> = (0..2_000)
+                .map(|_| {
+                    let k = rng.next_below(OBJECTS as u64) as usize;
+                    spans[k % nodes].offset(k / nodes)
+                })
+                .collect();
+            touched.extend(keys.iter().copied());
+            let lock = locks[c % locks.len()];
+            m.add_program(CpuId(c), Box::new(Touch { lock, keys, step: 0 }));
+        }
+        assert!(m.run(u64::MAX / 2).finished_all);
+        let words = m.mem().materialized_words();
+        assert!(
+            words <= dense + touched.len(),
+            "{words} words stored for {dense} dense + {} touched",
+            touched.len()
+        );
+        assert!(words * 20 < OBJECTS, "{words} words stored for a 10^6-word address space");
+    }
+
     #[test]
     fn finish_spread_metric() {
         let r = SimReport {
@@ -1177,7 +1236,7 @@ mod tests {
             node_traffic: Vec::new(),
             lock_traces: Vec::new(),
             lock_tallies: Vec::new(),
-            values: Vec::new(),
+            memory: MemImage::default(),
             preemptions: 0,
             migrations: 0,
             anger_episodes: 0,

@@ -14,14 +14,25 @@
 //! # Layout
 //!
 //! Per-line state is struct-of-arrays: one dense array per field, indexed
-//! by [`Addr`]. The hot benchmark pattern — a critical section sweeping a
-//! run of consecutively allocated lines — then walks each array
+//! by a word's *slot*. The hot benchmark pattern — a critical section
+//! sweeping a run of consecutively allocated lines — then walks each array
 //! sequentially instead of striding over fat per-line structs, and the
 //! fields an access never touches (watcher chains, homes) cost no cache
 //! traffic. Watcher lists are FIFO chains through one shared node arena
 //! with a freelist, so parking and waking spinners allocates nothing in
 //! the steady state.
+//!
+//! An [`Addr`] is a *virtual* address: the line, set and home a protocol
+//! derives from it never depend on where its state is stored. Words
+//! allocated before the first [`MemorySystem::alloc_span`] have slot ==
+//! address, so every paper artifact indexes the columns directly behind
+//! one compare. A span only reserves addresses; each of its words gets a
+//! slot the first time an access, `wait_while` or `poke` reaches it, so a
+//! million-object table costs memory in proportion to the objects a run
+//! touches. Until then a span word reads as its initial state (value 0,
+//! homed on the span's node).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,7 +46,9 @@ use crate::trace::{SimEvent, TraceSink};
 
 /// Identifier of one simulated memory word (its own cache line).
 ///
-/// `Addr`s are dense indices into the [`MemorySystem`]. The encoded form
+/// `Addr`s are virtual: consecutive allocations get consecutive addresses,
+/// whether or not the [`MemorySystem`] has materialized their state yet
+/// (see the [module docs](self)). The encoded form
 /// ([`Addr::encode`]) is a nonzero `u64` suitable for storing *in* simulated
 /// memory — queue locks store pointers to their queue nodes this way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -69,7 +82,7 @@ impl Addr {
         }
     }
 
-    /// The dense index of this address.
+    /// The address as an index (word number in the virtual address space).
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -165,14 +178,90 @@ pub(crate) struct AccessOutcome {
     pub value: u64,
 }
 
+/// Where each address's state lives in the struct-of-arrays columns.
+///
+/// Addresses below `dense_end` (the first span's base) are their own
+/// slot. At or past it, `map` holds the slot of every materialized word:
+/// span words enter on first touch, dense words allocated after a span on
+/// allocation. Lookups only; nothing iterates `map`, so its order never
+/// reaches an output.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotMap {
+    dense_end: u32,
+    /// Number of allocated addresses.
+    len: u32,
+    map: HashMap<u32, u32>,
+}
+
+impl Default for SlotMap {
+    fn default() -> SlotMap {
+        SlotMap { dense_end: u32::MAX, len: 0, map: HashMap::new() }
+    }
+}
+
+impl SlotMap {
+    /// The slot of `addr`, or `None` for a span word not yet touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` was not allocated (below the first span, the
+    /// caller's column index panics instead).
+    #[inline]
+    pub(crate) fn get(&self, addr: Addr) -> Option<usize> {
+        if addr.0 < self.dense_end {
+            Some(addr.index())
+        } else {
+            self.get_mapped(addr)
+        }
+    }
+
+    /// Whether every address below `end` is its own slot.
+    #[inline]
+    pub(crate) fn is_direct(&self, end: usize) -> bool {
+        end <= self.dense_end as usize
+    }
+
+    /// [`SlotMap::get`] at or past the first span, kept out of line so the
+    /// dense path every paper artifact takes stays one compare.
+    #[inline(never)]
+    fn get_mapped(&self, addr: Addr) -> Option<usize> {
+        assert!(addr.0 < self.len, "{addr} not allocated");
+        self.map.get(&addr.0).map(|&s| s as usize)
+    }
+}
+
+/// Final word values of a finished run: the materialized value column and
+/// the slot map that locates each address in it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MemImage {
+    values: Vec<u64>,
+    slots: SlotMap,
+}
+
+impl MemImage {
+    /// The final value of `addr`; 0 for a span word the run never touched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` was not allocated.
+    pub(crate) fn value(&self, addr: Addr) -> u64 {
+        self.slots.get(addr).map_or(0, |i| self.values[i])
+    }
+}
+
 /// The simulated memory: allocation, coherence state, and access costing.
 ///
-/// Line state lives in parallel arrays indexed by [`Addr`] (see the
+/// Line state lives in parallel arrays indexed by slot (see the
 /// [module docs](self)).
 #[derive(Debug)]
 pub struct MemorySystem {
     pub(crate) topo: Arc<Topology>,
     pub(crate) latency: LatencyModel,
+    /// Slot of each allocated address.
+    pub(crate) slots: SlotMap,
+    /// `(base, home)` of every span, in address order — the home of a
+    /// span word that has no slot yet.
+    spans: Vec<(u32, NodeId)>,
     /// Current value of each word.
     pub(crate) values: Vec<u64>,
     /// CPU holding each line modified/exclusive ([`NO_OWNER`] if none).
@@ -243,6 +332,8 @@ impl MemorySystem {
         MemorySystem {
             topo,
             latency,
+            slots: SlotMap::default(),
+            spans: Vec::new(),
             values: Vec::new(),
             owners: Vec::new(),
             sharers: Vec::new(),
@@ -321,41 +412,26 @@ impl MemorySystem {
             node.index() < self.topo.num_nodes(),
             "{node} outside topology"
         );
-        let addr = Addr(u32::try_from(self.values.len()).expect("address space exhausted"));
-        self.values.push(0);
-        self.owners.push(NO_OWNER);
-        self.sharers.push(0);
-        self.busy_until.push(0);
-        self.homes.push(node);
-        self.watch_head.push(WNIL);
-        self.watch_tail.push(WNIL);
+        let addr = Addr(self.slots.len);
+        self.slots.len = addr.0.checked_add(1).expect("address space exhausted");
+        let slot = self.push_word(node);
+        if addr.0 >= self.slots.dense_end {
+            self.slots.map.insert(addr.0, slot);
+        }
         addr
     }
 
     /// Allocates `n` words homed in `node`.
     pub fn alloc_array(&mut self, node: NodeId, n: usize) -> Vec<Addr> {
-        self.reserve(n);
         (0..n).map(|_| self.alloc(node)).collect()
     }
 
-    /// Pre-sizes the backing arrays for `n` further allocations, so a bulk
-    /// caller (a million-object lock table) pays one reallocation per
-    /// parallel vector instead of a geometric growth series.
-    pub fn reserve(&mut self, n: usize) {
-        self.values.reserve(n);
-        self.owners.reserve(n);
-        self.sharers.reserve(n);
-        self.busy_until.reserve(n);
-        self.homes.reserve(n);
-        self.watch_head.reserve(n);
-        self.watch_tail.reserve(n);
-    }
-
-    /// Allocates `n` contiguous zero-initialized words homed in `node` and
-    /// returns the first address; word `i` of the span is `Addr(base.0 +
-    /// i)`. Unlike [`MemorySystem::alloc_array`] this materializes no
-    /// `Vec<Addr>` — at 10^6+ words (the lockserver's object table) the
-    /// handle vector alone would rival the words themselves.
+    /// Reserves `n` contiguous zero-initialized words homed in `node` and
+    /// returns the first address; word `i` of the span is
+    /// `base.offset(i)`. Nothing is stored until a word is first touched
+    /// (see the [module docs](self)), and no `Vec<Addr>` of handles is
+    /// built — at 10^6+ words (the lockserver's object table) either would
+    /// dwarf the handful of objects a run actually uses.
     ///
     /// # Panics
     ///
@@ -366,27 +442,69 @@ impl MemorySystem {
             node.index() < self.topo.num_nodes(),
             "{node} outside topology"
         );
-        let end = self.values.len() + n;
-        assert!(u32::try_from(end).is_ok(), "address space exhausted");
-        let base = Addr(self.values.len() as u32);
-        self.values.resize(end, 0);
-        self.owners.resize(end, NO_OWNER);
-        self.sharers.resize(end, 0);
-        self.busy_until.resize(end, 0);
-        self.homes.resize(end, node);
-        self.watch_head.resize(end, WNIL);
-        self.watch_tail.resize(end, WNIL);
-        base
+        let base = self.slots.len;
+        self.slots.len = u32::try_from(base as usize + n).expect("address space exhausted");
+        if n > 0 {
+            self.slots.dense_end = self.slots.dense_end.min(base);
+            self.spans.push((base, node));
+        }
+        Addr(base)
     }
 
-    /// Number of allocated words.
+    /// Appends one word in its initial state to every column; returns its
+    /// slot.
+    fn push_word(&mut self, home: NodeId) -> u32 {
+        let slot = self.values.len() as u32;
+        self.values.push(0);
+        self.owners.push(NO_OWNER);
+        self.sharers.push(0);
+        self.busy_until.push(0);
+        self.homes.push(home);
+        self.watch_head.push(WNIL);
+        self.watch_tail.push(WNIL);
+        slot
+    }
+
+    /// The slot of `addr`, giving an untouched span word one first.
+    #[inline]
+    pub(crate) fn slot_mut(&mut self, addr: Addr) -> usize {
+        match self.slots.get(addr) {
+            Some(i) => i,
+            None => self.materialize(addr),
+        }
+    }
+
+    /// Gives a span word its slot (first touch).
+    #[cold]
+    fn materialize(&mut self, addr: Addr) -> usize {
+        let slot = self.push_word(self.span_home(addr));
+        self.slots.map.insert(addr.0, slot);
+        slot as usize
+    }
+
+    /// Home of a word inside a span: the node of the last span starting
+    /// at or below it. Cold: dense machines never call it, and inlining
+    /// it into the MESI/Dragon line-home lookup measurably slowed them.
+    #[cold]
+    fn span_home(&self, addr: Addr) -> NodeId {
+        let k = self.spans.partition_point(|&(base, _)| base <= addr.0);
+        self.spans[k - 1].1
+    }
+
+    /// Number of allocated words (the size of the address space).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.slots.len as usize
     }
 
     /// Whether no words have been allocated.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.slots.len == 0
+    }
+
+    /// Number of words whose state is stored: every word allocated outside
+    /// a span plus every span word touched so far.
+    pub fn materialized_words(&self) -> usize {
+        self.values.len()
     }
 
     /// The current value of a word (debug/assertion use; does not model a
@@ -396,7 +514,7 @@ impl MemorySystem {
     ///
     /// Panics if `addr` was not allocated.
     pub fn peek(&self, addr: Addr) -> u64 {
-        self.values[addr.index()]
+        self.slots.get(addr).map_or(0, |i| self.values[i])
     }
 
     /// Directly sets a word's value without simulating an access (for
@@ -406,12 +524,20 @@ impl MemorySystem {
     ///
     /// Panics if `addr` was not allocated.
     pub fn poke(&mut self, addr: Addr, value: u64) {
-        self.values[addr.index()] = value;
+        let i = self.slot_mut(addr);
+        self.values[i] = value;
     }
 
     /// The home node of a word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` was not allocated.
     pub fn home(&self, addr: Addr) -> NodeId {
-        self.homes[addr.index()]
+        match self.slots.get(addr) {
+            Some(i) => self.homes[i],
+            None => self.span_home(addr),
+        }
     }
 
     fn source_latency(&self, src: Source) -> u64 {
@@ -519,7 +645,7 @@ impl MemorySystem {
         // draw no fault-layer latency, emit no trace event and count no
         // traffic, so none of the slow path's machinery applies. The
         // coherence-state transitions mirror phase 3 of the slow path.
-        let i = addr.index();
+        let i = self.slot_mut(addr);
         let me = cpu.index() as u32;
         if self.owners[i] == me {
             if !op.is_write() {
@@ -553,25 +679,24 @@ impl MemorySystem {
                 value: self.values[i],
             };
         }
-        self.access_slow(now, cpu, addr, op, stats, trace, woken)
+        self.access_slow(now, cpu, i, op, stats, trace, woken)
     }
 
-    /// The general access path: classification, timing/occupancy/traffic,
-    /// invalidations, coherence update and watcher wake. (Still reached
-    /// with `Source::Hit` for an owner write that must refill parked
-    /// spinners.)
+    /// The general access path on the word in slot `i`: classification,
+    /// timing/occupancy/traffic, invalidations, coherence update and
+    /// watcher wake. (Still reached with `Source::Hit` for an owner write
+    /// that must refill parked spinners.)
     #[allow(clippy::too_many_arguments)]
     fn access_slow(
         &mut self,
         now: u64,
         cpu: CpuId,
-        addr: Addr,
+        i: usize,
         op: MemOp,
         stats: &mut SimStats,
         mut trace: Option<&mut (dyn TraceSink + 'static)>,
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) -> AccessOutcome {
-        let i = addr.index();
         let my_node = self.node_of(cpu);
         let home = self.homes[i];
         let lat = self.latency;
@@ -853,7 +978,7 @@ impl MemorySystem {
         stats: &mut SimStats,
         trace: Option<&mut (dyn TraceSink + 'static)>,
     ) -> Option<(u64, u64)> {
-        let i = addr.index();
+        let i = self.slot_mut(addr);
         if self.values[i] != equals {
             let mut scratch = std::mem::take(&mut self.read_scratch);
             let out = self.access(now, cpu, addr, MemOp::Read, stats, trace, &mut scratch);
@@ -880,14 +1005,15 @@ impl MemorySystem {
     /// Whether `cpu` holds a valid copy of `addr` under the flat model
     /// (exclusive owner or sharer of the word).
     pub(crate) fn flat_holds_copy(&self, cpu: CpuId, addr: Addr) -> bool {
-        let i = addr.index();
-        self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
+        self.slots.get(addr).is_some_and(|i| {
+            self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
+        })
     }
 
-    /// Materializes the final value of every allocated word, in address
-    /// order (done once, when a finished machine is turned into a report).
-    pub(crate) fn final_values(&self) -> Vec<u64> {
-        self.values.clone()
+    /// Consumes the memory system, keeping only what a report needs to
+    /// answer final values: the value column and the slot map, moved.
+    pub(crate) fn into_image(self) -> MemImage {
+        MemImage { values: self.values, slots: self.slots }
     }
 }
 #[cfg(test)]
@@ -895,6 +1021,7 @@ mod tests {
     use super::*;
     use crate::config::LatencyModel;
     use nuca_topology::Topology;
+    use std::panic::AssertUnwindSafe;
 
     fn mem2x2() -> (MemorySystem, SimStats) {
         let topo = Arc::new(Topology::symmetric(2, 2));
@@ -950,6 +1077,46 @@ mod tests {
         // Allocation continues cleanly past the span.
         let next = mem.alloc(NodeId(0));
         assert_eq!(next.index(), base.offset(999).index() + 1);
+    }
+
+    #[test]
+    fn span_words_materialize_on_first_touch() {
+        let (mut mem, mut st) = mem2x2();
+        let _lock = mem.alloc(NodeId(0));
+        let base = mem.alloc_span(NodeId(1), 1_000_000);
+        let tail = mem.alloc(NodeId(0));
+        assert_eq!(mem.len(), 1_000_002);
+        assert_eq!(mem.materialized_words(), 2, "a span reserves addresses only");
+        let w = base.offset(123_456);
+        assert_eq!((mem.peek(w), mem.home(w)), (0, NodeId(1)));
+        assert_eq!(mem.home(tail), NodeId(0));
+        assert_eq!(mem.materialized_words(), 2, "peek and home store nothing");
+        let _ = access(&mut mem, 0, CpuId(0), w, MemOp::Write(4), &mut st);
+        assert_eq!((mem.peek(w), mem.home(w)), (4, NodeId(1)));
+        assert_eq!(mem.materialized_words(), 3);
+        mem.poke(base.offset(9), 1);
+        assert!(mem.wait_while(0, CpuId(1), base.offset(10), 0, &mut st, None).is_none());
+        let _ = access(&mut mem, 10, CpuId(2), w, MemOp::Read, &mut st);
+        assert_eq!(mem.materialized_words(), 5, "poke and wait_while materialize once");
+        let (_, woken) = access_w(&mut mem, 20, CpuId(0), base.offset(10), MemOp::Write(2), &mut st);
+        assert_eq!(woken.len(), 1, "a watcher parked on a span word wakes");
+        let image = mem.into_image();
+        assert_eq!(image.value(w), 4);
+        assert_eq!(image.value(base.offset(10)), 2);
+        assert_eq!(image.value(base.offset(999_999)), 0, "untouched words stay 0");
+    }
+
+    #[test]
+    fn addresses_past_the_end_panic_with_spans() {
+        let (mut mem, _) = mem2x2();
+        let _ = mem.alloc_span(NodeId(1), 10);
+        let past = Addr(mem.len() as u32);
+        let panics = |f: &mut dyn FnMut()| std::panic::catch_unwind(AssertUnwindSafe(f)).is_err();
+        assert!(panics(&mut || _ = mem.peek(past)), "peek past the end");
+        assert!(panics(&mut || _ = mem.home(past)), "home past the end");
+        assert!(panics(&mut || mem.poke(past, 1)), "poke past the end");
+        let image = mem.into_image();
+        assert!(panics(&mut || _ = image.value(past)), "final value past the end");
     }
 
     #[test]

@@ -364,9 +364,9 @@ fn run_lockserver_inner(cfg: &LockServerConfig, hot_locks: usize) -> LockServerR
         })
         .collect();
     // Object words: one contiguous span per node, object k homed on node
-    // k % nodes. Spans avoid a 10^6-entry Vec<Addr> of handles.
+    // k % nodes. Spans avoid a 10^6-entry Vec<Addr> of handles, and a word
+    // takes memory only once a request touches it.
     let per_node = cfg.objects.div_ceil(nodes);
-    machine.mem_mut().reserve(per_node * nodes);
     let spans: Arc<[Addr]> = (0..nodes)
         .map(|n| machine.mem_mut().alloc_span(NodeId(n), per_node))
         .collect::<Vec<_>>()
