@@ -275,7 +275,7 @@ print(f"showdown OK: {len(kinds)} kinds x {len(body)//len(kinds)} cpu counts")
 EOF
 fi
 
-echo "==> protocol smoke (flat default byte-identity, MESI determinism, falsesharing headline)"
+echo "==> protocol smoke (flat default byte-identity, MESI/Dragon determinism, falsesharing headline)"
 # The flat default and an explicit --protocol flat are the same model:
 # every artifact TSV must be byte-identical to the default-run output.
 ./target/release/experiments colloc fig5 --fast --jobs 2 --protocol flat \
@@ -283,19 +283,23 @@ echo "==> protocol smoke (flat default byte-identity, MESI determinism, falsesha
 cmp target/ci-experiments/colloc.tsv target/ci-proto-flat/colloc.tsv
 cmp target/ci-experiments/fig5_time.tsv target/ci-proto-flat/fig5_time.tsv
 cmp target/ci-experiments/fig5_handoff.tsv target/ci-proto-flat/fig5_handoff.tsv
-# MESI runs obey the same determinism contract as flat ones: byte-identical
-# across --jobs (and the protocol must actually change the numbers).
-./target/release/experiments falsesharing colloc --fast --jobs 1 --protocol mesi \
-    --out target/ci-proto-mesi-j1 >/dev/null
-./target/release/experiments falsesharing colloc --fast --jobs 4 --protocol mesi \
-    --out target/ci-proto-mesi-j4 >/dev/null
-cmp target/ci-proto-mesi-j1/falsesharing.tsv target/ci-proto-mesi-j4/falsesharing.tsv
-cmp target/ci-proto-mesi-j1/falsesharing_twa.tsv target/ci-proto-mesi-j4/falsesharing_twa.tsv
-cmp target/ci-proto-mesi-j1/colloc.tsv target/ci-proto-mesi-j4/colloc.tsv
-if cmp -s target/ci-proto-mesi-j1/colloc.tsv target/ci-experiments/colloc.tsv; then
-    echo "expected --protocol mesi to change the colloc numbers"
-    exit 1
-fi
+# MESI and Dragon runs obey the same determinism contract as flat ones:
+# byte-identical across --jobs, including the robustness sweep whose
+# migrations reshuffle the per-node CPU masks (and the protocol must
+# actually change the numbers).
+for proto in mesi dragon; do
+    ./target/release/experiments falsesharing colloc robustness --fast --jobs 1 \
+        --protocol "$proto" --out "target/ci-proto-$proto-j1" >/dev/null
+    ./target/release/experiments falsesharing colloc robustness --fast --jobs 4 \
+        --protocol "$proto" --out "target/ci-proto-$proto-j4" >/dev/null
+    for tsv in falsesharing falsesharing_twa colloc robustness; do
+        cmp "target/ci-proto-$proto-j1/$tsv.tsv" "target/ci-proto-$proto-j4/$tsv.tsv"
+    done
+    if cmp -s "target/ci-proto-$proto-j1/colloc.tsv" target/ci-experiments/colloc.tsv; then
+        echo "expected --protocol $proto to change the colloc numbers"
+        exit 1
+    fi
+done
 for bad in "--protocol splay" "--binding diagonal" "--twa-slots 0" "--twa-hash xor"; do
     # shellcheck disable=SC2086  # word-splitting the flag+operand is the point
     if ./target/release/experiments colloc --fast $bad >/dev/null 2>&1; then

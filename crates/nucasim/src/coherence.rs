@@ -1,17 +1,14 @@
-//! Pluggable coherence protocols over set-associative cache geometry.
+//! Set-associative coherence protocols over per-CPU cache geometry.
 //!
 //! The flat model in [`crate::mem`] treats every word as its own
 //! unbounded cache line — fast, and faithful to the paper's lock-word
 //! behaviour, but blind to everything a real line does: false sharing
 //! between a lock word and the data it guards, capacity evictions
 //! bouncing a hot line, and the invalidate-vs-update policy split. The
-//! [`CoherenceProtocol`] trait makes the protocol a per-machine choice
-//! ([`crate::MachineConfig::protocol`], harness `--protocol`):
+//! protocol is a per-machine choice ([`crate::MachineConfig::protocol`],
+//! harness `--protocol`). Flat machines install nothing and run the
+//! inline path in `mem.rs`; the others install one boxed `Protocol`:
 //!
-//! * [`FlatProtocol`] — the original word-granular model, expressed as a
-//!   trait object. Flat machines do not actually install it (the
-//!   dispatcher short-circuits to the inline flat path so the hot path
-//!   is untouched); it exists so the equivalence can be pinned by test.
 //! * [`MesiProtocol`] — invalidate-based MESI over per-CPU
 //!   set-associative caches ([`CacheGeometry`]). Writes to shared lines
 //!   upgrade by invalidating every other copy; read misses with no other
@@ -23,25 +20,33 @@
 //!
 //! # Geometry, directory and LRU
 //!
-//! Both set-associative protocols share [`SetAssoc`]: per-CPU tag arrays
-//! (`sets × ways`, LRU-evicted by a monotone touch tick) plus a global
-//! line directory (owner, sharer bitmap, dirty, busy horizon) indexed by
-//! line id = `word >> log2(line_words)`. A line's home is the home node
-//! of its first word. Timing reuses the flat model's machinery: latency
+//! Both protocols share [`SetAssoc`]: per-CPU tag arrays (`sets × ways`,
+//! LRU-evicted by a monotone touch tick) plus a global line directory
+//! (owner, sharer bitmap, dirty, busy horizon, parked-watcher count,
+//! cached home) indexed by line id = `word >> log2(line_words)`. A line's
+//! home is the home node of its first word, resolved once and cached in
+//! the directory. Timing reuses the flat model's machinery: latency
 //! classes from [`crate::LatencyModel`], per-line occupancy, per-node
 //! bus and shared link horizons, and the fault layers.
+//!
+//! Transactions are priced per *node*, so wherever a sharer set matters
+//! only for the nodes it spans (update targets, invalidation fan-out,
+//! the remote test of an upgrade, the same-node server pick) it is
+//! folded against the memory system's per-node CPU masks
+//! (`MemorySystem::nodes_of`) instead of walked CPU by CPU.
 //!
 //! # Watchers, evictions and false sharing
 //!
 //! Parked spinners ([`crate::Command::WaitWhile`]) stay in the memory
-//! system's per-word chains. Under MESI, *any* write to a line refills
-//! every watcher parked on *any* word of that line — watchers on
-//! untouched words pay the full invalidate-and-refetch but stay parked,
-//! which is exactly the false-sharing stampede. Under Dragon the write
-//! delivers one update per holder node; watchers on other words keep
-//! their copies and pay nothing. Evicting a line does not disturb
-//! watcher chains: the subscription outlives the copy, and a watcher
-//! whose copy was evicted is re-fetched on its next refill.
+//! system's per-word chains; each line counts the watchers parked on any
+//! of its words. Under MESI, *any* write to a line refills every watcher
+//! parked on *any* word of that line — watchers on untouched words pay
+//! the full invalidate-and-refetch but stay parked, which is exactly the
+//! false-sharing stampede; a line with no watchers skips the word scan.
+//! Under Dragon the write delivers one update per holder node; watchers
+//! on other words keep their copies and pay nothing. Evicting a line does
+//! not disturb watcher chains: the subscription outlives the copy, and a
+//! watcher whose copy was evicted is re-fetched on its next refill.
 //!
 //! # Determinism
 //!
@@ -56,13 +61,44 @@ use crate::mem::{AccessOutcome, Addr, MemOp, MemorySystem, WatchNode, NO_OWNER, 
 use crate::stats::SimStats;
 use crate::trace::{SimEvent, TraceSink};
 
-/// A coherence protocol: the state machine that decides what each memory
-/// access costs and how line state evolves. One boxed instance lives in
-/// each [`MemorySystem`] built with a non-flat
-/// [`crate::MachineConfig::protocol`].
-pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
-    /// Which [`ProtocolKind`] this object implements.
-    fn kind(&self) -> ProtocolKind;
+/// The set-associative protocol a [`MemorySystem`] built with a non-flat
+/// [`crate::MachineConfig::protocol`] installs, boxed once per machine.
+#[derive(Debug)]
+pub(crate) enum Protocol {
+    Mesi(MesiProtocol),
+    Dragon(DragonProtocol),
+}
+
+impl Protocol {
+    /// The protocol for `kind`: `None` for [`ProtocolKind::Flat`] (the
+    /// inline flat path runs untouched behind a single branch).
+    pub(crate) fn build(
+        kind: ProtocolKind,
+        geometry: CacheGeometry,
+        num_cpus: usize,
+    ) -> Option<Box<Protocol>> {
+        let c = || SetAssoc::new(geometry, num_cpus);
+        match kind {
+            ProtocolKind::Flat => None,
+            ProtocolKind::Mesi => Some(Box::new(Protocol::Mesi(MesiProtocol { c: c() }))),
+            ProtocolKind::Dragon => Some(Box::new(Protocol::Dragon(DragonProtocol { c: c() }))),
+        }
+    }
+
+    /// Which [`ProtocolKind`] this is.
+    pub(crate) fn kind(&self) -> ProtocolKind {
+        match self {
+            Protocol::Mesi(_) => ProtocolKind::Mesi,
+            Protocol::Dragon(_) => ProtocolKind::Dragon,
+        }
+    }
+
+    fn set_assoc(&self) -> &SetAssoc {
+        match self {
+            Protocol::Mesi(p) => &p.c,
+            Protocol::Dragon(p) => &p.c,
+        }
+    }
 
     /// Performs `op` by `cpu` on `addr` starting at `now` — the protocol
     /// counterpart of the flat `MemorySystem::access` contract: the value
@@ -71,52 +107,7 @@ pub(crate) trait CoherenceProtocol: std::fmt::Debug + Send {
     /// `stats`, and `woken` is cleared then filled with watchers this
     /// access released.
     #[allow(clippy::too_many_arguments)]
-    fn access(
-        &mut self,
-        mem: &mut MemorySystem,
-        now: u64,
-        cpu: CpuId,
-        addr: Addr,
-        op: MemOp,
-        stats: &mut SimStats,
-        trace: Option<&mut (dyn TraceSink + 'static)>,
-        woken: &mut Vec<(CpuId, u64, u64)>,
-    ) -> AccessOutcome;
-
-    /// Whether `cpu` currently holds a valid cached copy of `addr`'s line
-    /// (drives the pre-park fetch in `MemorySystem::wait_while`).
-    fn holds_copy(&self, mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool;
-}
-
-/// Builds the protocol object a fresh [`MemorySystem`] installs: `None`
-/// for [`ProtocolKind::Flat`] (the inline flat path runs untouched — the
-/// dispatcher is a single branch), a boxed state machine otherwise.
-pub(crate) fn build_protocol(
-    kind: ProtocolKind,
-    geometry: CacheGeometry,
-    num_cpus: usize,
-) -> Option<Box<dyn CoherenceProtocol>> {
-    match kind {
-        ProtocolKind::Flat => None,
-        ProtocolKind::Mesi => Some(Box::new(MesiProtocol::new(geometry, num_cpus))),
-        ProtocolKind::Dragon => Some(Box::new(DragonProtocol::new(geometry, num_cpus))),
-    }
-}
-
-/// The flat word-granular model as a trait object. Delegates to the
-/// inline flat path, so installing it is observationally identical to
-/// installing no protocol at all — pinned by test (flat machines never
-/// actually construct it, hence the test-only allowance).
-#[derive(Debug)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) struct FlatProtocol;
-
-impl CoherenceProtocol for FlatProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Flat
-    }
-
-    fn access(
+    pub(crate) fn access(
         &mut self,
         mem: &mut MemorySystem,
         now: u64,
@@ -127,16 +118,62 @@ impl CoherenceProtocol for FlatProtocol {
         trace: Option<&mut (dyn TraceSink + 'static)>,
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) -> AccessOutcome {
-        mem.flat_access(now, cpu, addr, op, stats, trace, woken)
+        let out = match self {
+            Protocol::Mesi(p) => p.access(mem, now, cpu, addr, op, stats, trace, woken),
+            Protocol::Dragon(p) => p.access(mem, now, cpu, addr, op, stats, trace, woken),
+        };
+        if op.is_write() {
+            let c = self.set_assoc();
+            let line = c.line_of(addr.index());
+            debug_assert_eq!(
+                usize::from(c.dir[line].watchers),
+                parked_on_line(c, mem, line),
+                "line {line}: watcher count drifted from its chains"
+            );
+        }
+        out
     }
 
-    fn holds_copy(&self, mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        mem.flat_holds_copy(cpu, addr)
+    /// Records that `cpu` is about to park on `addr` (its line's watcher
+    /// count goes up) and returns whether `cpu` holds a valid copy of the
+    /// line (drives the pre-park fetch in `MemorySystem::wait_while`).
+    pub(crate) fn note_park(&mut self, cpu: CpuId, addr: Addr) -> bool {
+        let c = match self {
+            Protocol::Mesi(p) => &mut p.c,
+            Protocol::Dragon(p) => &mut p.c,
+        };
+        let line = c.line_of(addr.index());
+        c.ensure_line(line);
+        let d = &mut c.dir[line];
+        d.watchers += 1;
+        d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0
     }
+}
+
+/// Number of watchers parked on any word of `line` (a walk of every
+/// chain; the debug-build cross-check of [`LineDir::watchers`]).
+fn parked_on_line(c: &SetAssoc, mem: &MemorySystem, line: usize) -> usize {
+    let first = line << c.line_shift;
+    let last = (first + (1usize << c.line_shift)).min(mem.len());
+    let mut parked = 0;
+    for w in first..last {
+        let Some(slot) = mem.slots.get(Addr(w as u32)) else {
+            continue;
+        };
+        let mut id = mem.watch_head[slot];
+        while id != WNIL {
+            parked += 1;
+            id = mem.wnodes[id as usize].next;
+        }
+    }
+    parked
 }
 
 /// Empty-way sentinel in the tag arrays.
 const EMPTY: u64 = u64::MAX;
+
+/// "Not resolved yet" sentinel of [`LineDir::home`].
+const NO_HOME: u8 = u8::MAX;
 
 /// Directory state of one cache line.
 #[derive(Debug, Clone, Copy)]
@@ -148,13 +185,30 @@ struct LineDir {
     sharers: u128,
     /// Whether the owner's copy differs from memory (M vs E).
     dirty: bool,
+    /// Watchers parked on any word of the line. A parked CPU issues
+    /// nothing until woken, so this never exceeds the CPU count (≤ 128).
+    watchers: u8,
+    /// Home node index, [`NO_HOME`] until [`SetAssoc::line_home`] first
+    /// resolves it (a word's home never changes once allocated).
+    home: u8,
     /// Line occupancy horizon, as in the flat model.
     busy_until: u64,
 }
 
+// The directory is one `LineDir` per line of the address space; the two
+// `u8` fields fill what was padding.
+const _: () = assert!(std::mem::size_of::<LineDir>() == 32);
+
 impl Default for LineDir {
     fn default() -> LineDir {
-        LineDir { owner: NO_OWNER, sharers: 0, dirty: false, busy_until: 0 }
+        LineDir {
+            owner: NO_OWNER,
+            sharers: 0,
+            dirty: false,
+            watchers: 0,
+            home: NO_HOME,
+            busy_until: 0,
+        }
     }
 }
 
@@ -245,6 +299,26 @@ impl SetAssoc {
         Some(evicted)
     }
 
+    /// Home node of a line (which must be in the directory): the home of
+    /// its first word, cached in the directory after the first call.
+    #[inline]
+    fn line_home(&mut self, mem: &MemorySystem, line: usize) -> NodeId {
+        match self.dir[line].home {
+            NO_HOME => self.resolve_home(mem, line),
+            h => NodeId(usize::from(h)),
+        }
+    }
+
+    #[cold]
+    fn resolve_home(&mut self, mem: &MemorySystem, line: usize) -> NodeId {
+        let home = mem.home(Addr((line << self.line_shift) as u32));
+        self.dir[line].home = u8::try_from(home.index())
+            .ok()
+            .filter(|&h| h != NO_HOME)
+            .expect("node index fits the directory's u8 home field");
+        home
+    }
+
     /// Drops `line` from `cpu`'s cache if present (invalidation).
     fn remove(&mut self, cpu: usize, line: usize) {
         for i in self.slot_range(cpu, line) {
@@ -254,13 +328,6 @@ impl SetAssoc {
             }
         }
     }
-}
-
-/// Home node of a line: the home of its first word (clamped to the
-/// allocated range, for the tail line of the address space).
-fn line_home(mem: &MemorySystem, line: usize, shift: u32) -> NodeId {
-    let w = (line << shift).min(mem.len() - 1);
-    mem.home(Addr(w as u32))
 }
 
 /// Latency class of a fetch served by CPU `server`'s cache, or by
@@ -309,15 +376,9 @@ fn pick_server(d: &LineDir, mem: &MemorySystem, me: u32, my_node: NodeId) -> Opt
     if others == 0 {
         return None;
     }
-    let mut h = others;
-    while h != 0 {
-        let c = h.trailing_zeros() as usize;
-        h &= h - 1;
-        if mem.node_of(CpuId(c)) == my_node {
-            return Some(CpuId(c));
-        }
-    }
-    Some(CpuId(others.trailing_zeros() as usize))
+    let local = others & mem.cpus_on(my_node);
+    let pick = if local != 0 { local } else { others };
+    Some(CpuId(pick.trailing_zeros() as usize))
 }
 
 /// Arbitrates one data-moving transaction (fetch, upgrade request or
@@ -426,7 +487,7 @@ fn insert_with_eviction(
     };
     let me = cpu.index() as u32;
     let vd = c.dir[victim];
-    let vhome = line_home(mem, victim, c.line_shift);
+    let vhome = c.line_home(mem, victim);
     let dirty = vd.owner == me && vd.dirty;
     if vd.owner == me {
         c.dir[victim].owner = NO_OWNER;
@@ -457,10 +518,6 @@ pub(crate) struct MesiProtocol {
 }
 
 impl MesiProtocol {
-    pub(crate) fn new(geom: CacheGeometry, num_cpus: usize) -> MesiProtocol {
-        MesiProtocol { c: SetAssoc::new(geom, num_cpus) }
-    }
-
     /// Removes every other holder's copy of `line` (directory + tags) and
     /// counts one invalidation per holder node. Returns how many nodes
     /// were invalidated. Leaves the directory with no owner and no
@@ -484,14 +541,13 @@ impl MesiProtocol {
             holders |= 1u128 << d.owner;
         }
         holders &= !(1u128 << me);
-        let mut node_mask = 0u64;
         let mut h = holders;
         while h != 0 {
             let cidx = h.trailing_zeros() as usize;
             h &= h - 1;
             self.c.remove(cidx, line);
-            node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
         }
+        let mut node_mask = mem.nodes_of(holders);
         let mut invalidated = 0;
         while node_mask != 0 {
             let n = node_mask.trailing_zeros() as usize;
@@ -524,10 +580,15 @@ impl MesiProtocol {
         trace: &mut Option<&mut (dyn TraceSink + 'static)>,
         woken: &mut Vec<(CpuId, u64, u64)>,
     ) {
+        let mut busy = self.c.dir[line].busy_until.max(complete_at);
+        if self.c.dir[line].watchers == 0 {
+            self.c.dir[line].busy_until = busy;
+            return;
+        }
         let lat = mem.latency;
         let first = line << self.c.line_shift;
         let last = (first + (1usize << self.c.line_shift)).min(mem.len());
-        let mut busy = self.c.dir[line].busy_until.max(complete_at);
+        let mut freed = 0u8;
         let mut any = false;
         let mut new_sharers = 0u128;
         // The words of a line wholly below the first span are their own
@@ -586,6 +647,7 @@ impl MesiProtocol {
                     woken.push((wcpu, wake_at, val));
                     mem.wnodes[id as usize].next = mem.wfree;
                     mem.wfree = id;
+                    freed += 1;
                 } else {
                     mem.wnodes[id as usize].next = WNIL;
                     if kept_tail == WNIL {
@@ -602,6 +664,7 @@ impl MesiProtocol {
         }
         let dd = &mut self.c.dir[line];
         dd.busy_until = busy;
+        dd.watchers -= freed;
         if any {
             dd.sharers |= new_sharers;
             // Refilled watchers demote the writer's exclusive copy.
@@ -612,13 +675,8 @@ impl MesiProtocol {
             }
         }
     }
-}
 
-impl CoherenceProtocol for MesiProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-
+    #[allow(clippy::too_many_arguments)]
     fn access(
         &mut self,
         mem: &mut MemorySystem,
@@ -637,7 +695,7 @@ impl CoherenceProtocol for MesiProtocol {
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
         let my_node = mem.node_of(cpu);
-        let home = line_home(mem, line, self.c.line_shift);
+        let home = self.c.line_home(mem, line);
         let lat = mem.latency;
         let d = self.c.dir[line];
         let holds = d.owner == me || d.sharers & mebit != 0;
@@ -674,15 +732,7 @@ impl CoherenceProtocol for MesiProtocol {
             if d.owner != NO_OWNER {
                 others |= 1u128 << d.owner;
             }
-            let mut any_remote = false;
-            let mut h = others;
-            while h != 0 {
-                let cidx = h.trailing_zeros() as usize;
-                h &= h - 1;
-                if mem.node_of(CpuId(cidx)) != my_node {
-                    any_remote = true;
-                }
-            }
+            let any_remote = others & !mem.cpus_on(my_node) != 0;
             let base = if any_remote { lat.remote_transfer } else { lat.same_node_transfer };
             let served_by = if any_remote { home } else { my_node };
             let mut busy = d.busy_until;
@@ -748,14 +798,6 @@ impl CoherenceProtocol for MesiProtocol {
         }
         AccessOutcome { complete_at, value: old }
     }
-
-    fn holds_copy(&self, _mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        let line = self.c.line_of(addr.index());
-        match self.c.dir.get(line) {
-            Some(d) => d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0,
-            None => false,
-        }
-    }
 }
 
 /// Update-based Dragon over [`SetAssoc`] geometry.
@@ -765,16 +807,7 @@ pub(crate) struct DragonProtocol {
 }
 
 impl DragonProtocol {
-    pub(crate) fn new(geom: CacheGeometry, num_cpus: usize) -> DragonProtocol {
-        DragonProtocol { c: SetAssoc::new(geom, num_cpus) }
-    }
-}
-
-impl CoherenceProtocol for DragonProtocol {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dragon
-    }
-
+    #[allow(clippy::too_many_arguments)]
     fn access(
         &mut self,
         mem: &mut MemorySystem,
@@ -793,7 +826,7 @@ impl CoherenceProtocol for DragonProtocol {
         let me = cpu.index() as u32;
         let mebit = 1u128 << me;
         let my_node = mem.node_of(cpu);
-        let home = line_home(mem, line, self.c.line_shift);
+        let home = self.c.line_home(mem, line);
         let lat = mem.latency;
         let d = self.c.dir[line];
         let holds = d.owner == me || d.sharers & mebit != 0;
@@ -854,13 +887,7 @@ impl CoherenceProtocol for DragonProtocol {
         // watchers parked on the written word (the subscription is
         // delivered with the same broadcast even if the watcher's copy
         // was evicted).
-        let mut node_mask = 0u64;
-        let mut h = others;
-        while h != 0 {
-            let cidx = h.trailing_zeros() as usize;
-            h &= h - 1;
-            node_mask |= 1 << mem.node_of(CpuId(cidx)).index();
-        }
+        let mut node_mask = mem.nodes_of(others);
         let mut id = mem.watch_head[slot];
         while id != WNIL {
             let n = mem.wnodes[id as usize];
@@ -943,6 +970,7 @@ impl CoherenceProtocol for DragonProtocol {
             let mut id = mem.watch_head[slot];
             let mut kept_head = WNIL;
             let mut kept_tail = WNIL;
+            let mut freed = 0u8;
             while id != WNIL {
                 let WatchNode { equals, cpu: wc, next } = mem.wnodes[id as usize];
                 if new_value != equals {
@@ -957,6 +985,7 @@ impl CoherenceProtocol for DragonProtocol {
                     woken.push((wcpu, wake_at, new_value));
                     mem.wnodes[id as usize].next = mem.wfree;
                     mem.wfree = id;
+                    freed += 1;
                 } else {
                     mem.wnodes[id as usize].next = WNIL;
                     if kept_tail == WNIL {
@@ -970,16 +999,9 @@ impl CoherenceProtocol for DragonProtocol {
             }
             mem.watch_head[slot] = kept_head;
             mem.watch_tail[slot] = kept_tail;
+            self.c.dir[line].watchers -= freed;
         }
         AccessOutcome { complete_at, value: old }
-    }
-
-    fn holds_copy(&self, _mem: &MemorySystem, cpu: CpuId, addr: Addr) -> bool {
-        let line = self.c.line_of(addr.index());
-        match self.c.dir.get(line) {
-            Some(d) => d.owner == cpu.index() as u32 || d.sharers & (1u128 << cpu.index()) != 0,
-            None => false,
-        }
     }
 }
 
@@ -1006,45 +1028,6 @@ mod tests {
         }
     }
 
-    /// A spinlock loop: TAS until free, hold (delay), release, repeat.
-    struct TasLoop {
-        lock: Addr,
-        iters: u32,
-        state: u8,
-    }
-
-    impl Program for TasLoop {
-        fn resume(&mut self, _ctx: &mut CpuCtx<'_>, last: Option<u64>) -> Command {
-            match self.state {
-                0 => {
-                    if self.iters == 0 {
-                        return Command::Done;
-                    }
-                    self.state = 1;
-                    Command::Tas(self.lock)
-                }
-                1 => {
-                    if last == Some(0) {
-                        self.state = 2;
-                        return Command::Delay(50);
-                    }
-                    self.state = 3;
-                    Command::WaitWhile { addr: self.lock, equals: 1 }
-                }
-                2 => {
-                    self.state = 0;
-                    self.iters -= 1;
-                    Command::Write(self.lock, 0)
-                }
-                3 => {
-                    self.state = 1;
-                    Command::Tas(self.lock)
-                }
-                _ => unreachable!(),
-            }
-        }
-    }
-
     fn run_incrs(cfg: MachineConfig, cpus: usize, per_cpu: u32) -> (crate::SimReport, Addr) {
         let mut m = Machine::new(cfg);
         let a = m.mem_mut().alloc(NodeId(0));
@@ -1054,34 +1037,6 @@ mod tests {
         let status = m.run(1_000_000_000);
         assert!(status.finished_all);
         (m.into_report(), a)
-    }
-
-    #[test]
-    fn flat_protocol_object_matches_inline_flat_path() {
-        // Installing the FlatProtocol trait object must be observationally
-        // identical to the inline flat path (proto = None): same end time,
-        // same traffic, same finish times, same final values.
-        let mk = || MachineConfig::wildfire(2, 4).with_seed(7);
-        let run = |boxed: bool| {
-            let mut m = Machine::new(mk());
-            if boxed {
-                assert!(m.mem_mut().proto.is_none(), "flat installs no object");
-                m.mem_mut().proto = Some(Box::new(FlatProtocol));
-            }
-            let a = m.mem_mut().alloc(NodeId(0));
-            for cpu in 0..8 {
-                m.add_program(CpuId(cpu), Box::new(TasLoop { lock: a, iters: 40, state: 0 }));
-            }
-            let status = m.run(1_000_000_000);
-            assert!(status.finished_all);
-            m.into_report()
-        };
-        let inline = run(false);
-        let object = run(true);
-        assert_eq!(inline.end_time, object.end_time);
-        assert_eq!(inline.traffic, object.traffic);
-        assert_eq!(inline.finish_times, object.finish_times);
-        assert_eq!(inline.cache_hits, object.cache_hits);
     }
 
     #[test]

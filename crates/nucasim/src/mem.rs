@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use nuca_topology::{CpuId, NodeId, Topology};
 
-use crate::coherence::{self, CoherenceProtocol};
+use crate::coherence::Protocol;
 use crate::config::{CacheGeometry, LatencyModel, ProtocolKind};
 use crate::rng::SplitMix64;
 use crate::stats::SimStats;
@@ -295,6 +295,9 @@ pub struct MemorySystem {
     /// Node each CPU's thread currently runs on (index = CPU id). Starts
     /// as the topology mapping; injected migrations rewrite entries.
     cpu_nodes: Vec<NodeId>,
+    /// The inverse of `cpu_nodes`: the CPUs on each node, as a bitmask in
+    /// the sharer-set layout (index = node id).
+    node_cpus: Vec<u128>,
     /// Whether any migration has happened. While false (the overwhelmingly
     /// common case) topology-derived shortcuts like the same-chip class
     /// stay valid.
@@ -307,7 +310,7 @@ pub struct MemorySystem {
     /// `None` for the flat model. `None` keeps the flat hot path exactly
     /// as it was — one predictable branch at the top of
     /// [`MemorySystem::access`], no indirection.
-    pub(crate) proto: Option<Box<dyn CoherenceProtocol>>,
+    pub(crate) proto: Option<Box<Protocol>>,
 }
 
 impl MemorySystem {
@@ -328,7 +331,11 @@ impl MemorySystem {
         );
         let nodes = topo.num_nodes();
         let num_cpus = topo.num_cpus();
-        let cpu_nodes = (0..topo.num_cpus()).map(|c| topo.node_of(CpuId(c))).collect();
+        let cpu_nodes: Vec<NodeId> = (0..num_cpus).map(|c| topo.node_of(CpuId(c))).collect();
+        let mut node_cpus = vec![0u128; nodes];
+        for (c, n) in cpu_nodes.iter().enumerate() {
+            node_cpus[n.index()] |= 1u128 << c;
+        }
         MemorySystem {
             topo,
             latency,
@@ -347,10 +354,11 @@ impl MemorySystem {
             link_until: 0,
             read_scratch: Vec::new(),
             cpu_nodes,
+            node_cpus,
             migrated: false,
             slow_node: None,
             jitter: None,
-            proto: coherence::build_protocol(protocol, geometry, num_cpus),
+            proto: Protocol::build(protocol, geometry, num_cpus),
         }
     }
 
@@ -364,8 +372,29 @@ impl MemorySystem {
     /// accesses by that CPU pay latencies and traffic as from `node`.
     pub(crate) fn migrate_cpu(&mut self, cpu: CpuId, node: NodeId) {
         debug_assert!(node.index() < self.topo.num_nodes());
+        let bit = 1u128 << cpu.index();
+        self.node_cpus[self.cpu_nodes[cpu.index()].index()] &= !bit;
+        self.node_cpus[node.index()] |= bit;
         self.cpu_nodes[cpu.index()] = node;
         self.migrated = true;
+    }
+
+    /// The CPUs whose threads currently run on `node`, as a sharer-set
+    /// bitmask.
+    #[inline]
+    pub(crate) fn cpus_on(&self, node: NodeId) -> u128 {
+        self.node_cpus[node.index()]
+    }
+
+    /// The nodes the CPUs in `cpus` (a sharer-set bitmask) currently run
+    /// on, as a bitmask over node ids: one test per node instead of one
+    /// [`MemorySystem::node_of`] per CPU.
+    pub(crate) fn nodes_of(&self, cpus: u128) -> u64 {
+        let mut mask = 0u64;
+        for (n, &on_node) in self.node_cpus.iter().enumerate() {
+            mask |= u64::from(cpus & on_node != 0) << n;
+        }
+        mask
     }
 
     /// Enables the slow-node fault layer.
@@ -396,10 +425,7 @@ impl MemorySystem {
 
     /// The coherence protocol this memory system models.
     pub fn protocol(&self) -> ProtocolKind {
-        match &self.proto {
-            Some(p) => p.kind(),
-            None => ProtocolKind::Flat,
-        }
+        self.proto.as_ref().map_or(ProtocolKind::Flat, |p| p.kind())
     }
 
     /// Allocates a fresh zero-initialized word homed in `node`.
@@ -625,12 +651,10 @@ impl MemorySystem {
         self.flat_access(now, cpu, addr, op, stats, trace, woken)
     }
 
-    /// The flat word-granular access path (every word its own line).
-    /// Reached directly when no protocol object is installed, and via
-    /// [`crate::coherence::FlatProtocol`] when one is — the two are
-    /// pinned equivalent by test.
+    /// The flat word-granular access path (every word its own line),
+    /// taken whenever no protocol is installed.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn flat_access(
+    fn flat_access(
         &mut self,
         now: u64,
         cpu: CpuId,
@@ -986,9 +1010,11 @@ impl MemorySystem {
             self.read_scratch = scratch;
             return Some((out.complete_at, out.value));
         }
-        let holds_copy = match &self.proto {
-            Some(p) => p.holds_copy(self, cpu, addr),
-            None => self.flat_holds_copy(cpu, addr),
+        let holds_copy = match self.proto.as_deref_mut() {
+            // Counted before the pre-park fetch: that is a read, which
+            // neither wakes watchers nor checks the count.
+            Some(p) => p.note_park(cpu, addr),
+            None => self.flat_holds_copy(cpu, i),
         };
         if !holds_copy {
             // Fetch the line (traffic + line/bus occupancy) before
@@ -1002,12 +1028,10 @@ impl MemorySystem {
         None
     }
 
-    /// Whether `cpu` holds a valid copy of `addr` under the flat model
-    /// (exclusive owner or sharer of the word).
-    pub(crate) fn flat_holds_copy(&self, cpu: CpuId, addr: Addr) -> bool {
-        self.slots.get(addr).is_some_and(|i| {
-            self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
-        })
+    /// Whether `cpu` holds a valid copy of the word in slot `i` under the
+    /// flat model (exclusive owner or sharer of the word).
+    fn flat_holds_copy(&self, cpu: CpuId, i: usize) -> bool {
+        self.owners[i] == cpu.index() as u32 || self.sharers[i] & (1 << cpu.index()) != 0
     }
 
     /// Consumes the memory system, keeping only what a report needs to
@@ -1354,6 +1378,51 @@ mod tests {
         let g_mid = st.traffic().global;
         access(&mut mem, 30_000, CpuId(0), a, MemOp::Write(4), &mut st);
         assert_eq!(st.traffic().global, g_mid, "post-migration fetch is local");
+    }
+
+    #[test]
+    fn nodes_of_matches_per_cpu_fold() {
+        // The per-node CPU masks must answer exactly what folding
+        // `node_of` over every CPU of the set answers, on WildFire and on
+        // a 4-node machine, before and after migrations reshuffle them.
+        for (nodes, per_node) in [(2, 14), (4, 8)] {
+            let topo = Arc::new(Topology::symmetric(nodes, per_node));
+            let cpus = topo.num_cpus();
+            let mut mem = MemorySystem::new(
+                topo,
+                LatencyModel::wildfire(),
+                ProtocolKind::Mesi,
+                CacheGeometry::default_geometry(),
+            );
+            let fold = |mem: &MemorySystem, set: u128| {
+                (0..cpus)
+                    .filter(|&c| set >> c & 1 != 0)
+                    .fold(0u64, |m, c| m | 1 << mem.node_of(CpuId(c)).index())
+            };
+            let mut rng = SplitMix64::new(0xC0FFEE ^ nodes as u64);
+            let all = (1u128 << cpus) - 1;
+            for round in 0..4 {
+                for _ in 0..500 {
+                    let wide = u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64());
+                    // Dense, sparse (a few bits) and single-CPU sets.
+                    let sparse = wide & u128::from(rng.next_u64()) & u128::from(rng.next_u64());
+                    let single = 1u128 << rng.next_below(cpus as u64);
+                    for set in [wide & all, sparse & all, single, 0] {
+                        assert_eq!(
+                            mem.nodes_of(set),
+                            fold(&mem, set),
+                            "{nodes}x{per_node} round {round}: set {set:#x}"
+                        );
+                    }
+                }
+                for _ in 0..cpus / 2 {
+                    let cpu = CpuId(rng.next_below(cpus as u64) as usize);
+                    let to = NodeId(rng.next_below(nodes as u64) as usize);
+                    mem.migrate_cpu(cpu, to);
+                }
+            }
+            assert!(mem.migrated);
+        }
     }
 
     #[test]
