@@ -29,6 +29,19 @@ if ./target/release/experiments robustness --jobs 0 >/dev/null 2>&1; then
     exit 1
 fi
 
+echo "==> faulted artifacts match known-good output (sha256 of the --fast TSVs)"
+# The --jobs comparisons above and below only show a faulted sweep agrees
+# with itself. These hashes pin the fast-scale robustness, lockserver and
+# showdown TSVs (preemption plus the full fault stack) to known-good
+# bytes, so a behaviour change in a fault layer or the disturbance fast
+# path fails here. A deliberate behaviour change regenerates them with
+# `sha256sum target/ci-experiments/{robustness,lockserver,showdown}.tsv`.
+sha256sum -c --quiet - <<'EOF'
+28b9f19de0e376e15f95a2d58cc588d74ef364b27976d820accccea669a56db4  target/ci-experiments/robustness.tsv
+fdcf2513eb99c53ffaa702f6e7b91c087b272b16d3d4709d69f7db20572ee609  target/ci-experiments/lockserver.tsv
+af9140ab22a3d93115fbbbad485ccaccfd6d704833a7c6c0d9e3761d8c843fdf  target/ci-experiments/showdown.tsv
+EOF
+
 echo "==> trace smoke (traced run must not change results)"
 ./target/release/experiments fig5 --fast --jobs 2 \
     --out target/ci-trace-off >/dev/null

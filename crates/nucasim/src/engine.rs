@@ -167,9 +167,16 @@ pub struct Machine {
     time: u64,
     preempt: Option<PreemptState>,
     /// Engine-side fault layers (holder-preempt bursts, migration).
-    /// `None` whenever fault injection is off — the hot path then pays a
-    /// single branch, like tracing.
+    /// `None` whenever fault injection is off.
     faults: Option<FaultState>,
+    /// Per-CPU calm horizon: a resume of the CPU at any `t` below it is
+    /// left alone by every disturbance layer (see [`Machine::disturb`]).
+    /// `u64::MAX` on undisturbed machines.
+    calm: Vec<u64>,
+    /// Test-only: pin every horizon at 0 so each resume takes the
+    /// out-of-line disturbance path (the exactness reference).
+    #[cfg(test)]
+    always_slow: bool,
     /// Recycled buffer for the watchers each write wakes (engine-owned so
     /// the hot path never allocates).
     woken_buf: Vec<(CpuId, u64, u64)>,
@@ -222,7 +229,8 @@ impl Machine {
             FaultState::new(&f, topo.num_cpus(), &mut rng)
         });
         let cpus = CpuStates::new(topo.num_cpus());
-        Machine {
+        let calm = vec![u64::MAX; topo.num_cpus()];
+        let mut m = Machine {
             mem,
             topo,
             stats: SimStats::with_hot_limit(cfg.hot_locks),
@@ -232,10 +240,17 @@ impl Machine {
             time: 0,
             preempt,
             faults,
+            calm,
+            #[cfg(test)]
+            always_slow: false,
             woken_buf: Vec::new(),
             trace: None,
             profile_label: None,
+        };
+        for cpu in 0..m.calm.len() {
+            m.refresh_calm(cpu);
         }
+        m
     }
 
     /// Installs a trace sink; subsequent simulation emits [`SimEvent`]s
@@ -335,11 +350,15 @@ impl Machine {
     }
 
     /// Applies faults and preemption windows to a resume of `cpu` at `t`.
-    /// Undisturbed machines — the common case — pay one inlined branch;
-    /// the layers themselves stay out of line.
+    ///
+    /// Below the CPU's calm horizon — the earliest start of its next
+    /// preemption window or migration, or 0 while a holder-preemption
+    /// burst is pending — no layer changes the resume or draws
+    /// randomness, so disturbed and undisturbed machines alike pay one
+    /// inlined compare; the layers run out of line only at or past it.
     #[inline]
     fn disturb(&mut self, cpu: usize, t: u64) -> u64 {
-        if self.faults.is_none() && self.preempt.is_none() {
+        if t < self.calm[cpu] {
             return t;
         }
         self.disturb_slow(cpu, t)
@@ -348,7 +367,23 @@ impl Machine {
     #[inline(never)]
     fn disturb_slow(&mut self, cpu: usize, t: u64) -> u64 {
         let t = self.apply_faults(cpu, t);
-        self.adjust_preempt(cpu, t)
+        let t = self.adjust_preempt(cpu, t);
+        self.refresh_calm(cpu);
+        t
+    }
+
+    /// Recomputes `cpu`'s calm horizon after its layers have run (no
+    /// burst is pending then: [`Machine::apply_faults`] consumed it).
+    fn refresh_calm(&mut self, cpu: usize) {
+        let mut horizon = self.preempt.as_ref().map_or(u64::MAX, |p| p.next_start(cpu));
+        if let Some(m) = self.faults.as_ref().and_then(|f| f.migration.as_ref()) {
+            horizon = horizon.min(m.next[cpu]);
+        }
+        #[cfg(test)]
+        if self.always_slow {
+            horizon = 0;
+        }
+        self.calm[cpu] = horizon;
     }
 
     /// Slides `t` past any preemption window on `cpu`.
@@ -479,7 +514,7 @@ impl Machine {
                         now: t,
                         stats: &mut self.stats,
                         trace: self.trace.as_deref_mut(),
-                        faults: self.faults.as_mut(),
+                        faults: self.faults.as_mut().map(|f| (f, &mut self.calm[cpu])),
                     };
                     program.resume(&mut ctx, last)
                 };
@@ -579,6 +614,14 @@ impl Machine {
         }
     }
 
+    /// Test-only: routes every later resume through the disturbance
+    /// layers, the reference the calm-horizon fast path must match.
+    #[cfg(test)]
+    fn force_slow_disturb(&mut self) {
+        self.always_slow = true;
+        self.calm.fill(0);
+    }
+
     /// Consumes the machine, producing the full [`SimReport`].
     ///
     /// Lock traces and the memory's value column are moved (not cloned)
@@ -608,7 +651,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MachineConfig;
+    use crate::config::{MachineConfig, ProtocolKind};
     use nuca_topology::NodeId;
 
     /// Writes `value` then finishes.
@@ -1165,6 +1208,103 @@ mod tests {
             })
             .count() as u64;
         assert_eq!(migrate_events, r.migrations, "one event per counted migration");
+    }
+
+    /// The calm-horizon fast path must be exact: a run whose every resume
+    /// goes through the disturbance layers produces the same complete
+    /// report (compared through `Debug`, which covers every field) under
+    /// preemption only, faults only and both, on flat and MESI memory.
+    /// A spin lock parks waiters on its word, so pending holder bursts
+    /// also meet watcher wakes.
+    #[test]
+    fn calm_horizon_matches_always_slow_reference() {
+        struct SpinIncr {
+            lock: Addr,
+            counter: Addr,
+            left: u32,
+            step: u8,
+        }
+        impl Program for SpinIncr {
+            fn resume(&mut self, ctx: &mut CpuCtx<'_>, last: Option<u64>) -> Command {
+                match self.step {
+                    0 => {
+                        self.step = 1;
+                        Command::Swap { addr: self.lock, value: 1 }
+                    }
+                    1 if last == Some(0) => {
+                        ctx.record_acquire(0);
+                        self.step = 2;
+                        Command::FetchAdd { addr: self.counter, delta: 1 }
+                    }
+                    1 => {
+                        self.step = 0;
+                        Command::WaitWhile { addr: self.lock, equals: 1 }
+                    }
+                    2 => {
+                        self.step = 3;
+                        Command::Delay(200)
+                    }
+                    3 => {
+                        self.step = 4;
+                        Command::Write(self.lock, 0)
+                    }
+                    _ => {
+                        self.left -= 1;
+                        self.step = 0;
+                        if self.left == 0 {
+                            Command::Done
+                        } else {
+                            Command::Delay(300)
+                        }
+                    }
+                }
+            }
+        }
+        fn run_once(cfg: MachineConfig, slow: bool) -> SimReport {
+            let mut m = Machine::new(cfg);
+            if slow {
+                m.force_slow_disturb();
+            }
+            let lock = m.mem_mut().alloc(NodeId(0));
+            let counter = m.mem_mut().alloc(NodeId(1));
+            for cpu in 0..8 {
+                m.add_program(
+                    CpuId(cpu),
+                    Box::new(SpinIncr { lock, counter, left: 40, step: 0 }),
+                );
+            }
+            assert!(m.run(u64::MAX / 2).finished_all);
+            let r = m.into_report();
+            assert_eq!(r.final_value(counter), 320);
+            r
+        }
+
+        let preempt = crate::PreemptionConfig { mean_gap: 20_000, quantum: 5_000 };
+        let faults = crate::FaultConfig::none()
+            .with_holder_preempt(crate::HolderPreemptConfig { per_mille: 300, quantum: 8_000 })
+            .with_migration(crate::MigrationConfig { mean_gap: 30_000, pause: 1_000 });
+        for protocol in [ProtocolKind::Flat, ProtocolKind::Mesi] {
+            for seed in [3, 8] {
+                let base = MachineConfig::wildfire(2, 4).with_seed(seed).with_protocol(protocol);
+                for (name, cfg) in [
+                    ("preemption", base.clone().with_preemption(preempt)),
+                    ("faults", base.clone().with_faults(faults)),
+                    ("both", base.clone().with_preemption(preempt).with_faults(faults)),
+                ] {
+                    let fast = run_once(cfg.clone(), false);
+                    let slow = run_once(cfg, true);
+                    assert!(fast.preemptions > 0, "{name}/{protocol:?}/{seed}: no preemption");
+                    if name != "preemption" {
+                        assert!(fast.migrations > 0, "{name}/{protocol:?}/{seed}: no migration");
+                    }
+                    assert_eq!(
+                        format!("{fast:?}"),
+                        format!("{slow:?}"),
+                        "{name}/{protocol:?}/seed {seed}: fast path diverged"
+                    );
+                }
+            }
+        }
     }
 
     /// Release-mode footprint regression: a lockserver-shaped machine

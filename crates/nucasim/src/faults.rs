@@ -250,13 +250,15 @@ impl FaultState {
 
     /// Called by [`crate::CpuCtx::record_acquire`]: with the configured
     /// probability, marks the new holder to lose a quantum at its next
-    /// resume — i.e. mid-critical-section.
-    pub(crate) fn on_acquire(&mut self, cpu: CpuId) {
+    /// resume — i.e. mid-critical-section. Returns whether it did.
+    pub(crate) fn on_acquire(&mut self, cpu: CpuId) -> bool {
         if let Some(h) = self.holder {
             if self.holder_rng.next_below(1000) < u64::from(h.per_mille) {
                 self.pending_delay[cpu.index()] = h.quantum;
+                return true;
             }
         }
+        false
     }
 }
 

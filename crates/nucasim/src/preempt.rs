@@ -86,6 +86,12 @@ impl PreemptState {
         }
     }
 
+    /// Start of `cpu`'s next window: [`PreemptState::adjust`] leaves any
+    /// `t` below it unchanged and draws nothing.
+    pub(crate) fn next_start(&self, cpu: usize) -> u64 {
+        self.next_start[cpu]
+    }
+
     /// Adjusts a wakeup scheduled at `t` for CPU `cpu`: if a preemption
     /// window *overlaps* `t`, the wakeup slides to the window's end (and
     /// may land in the next window, and so on). Windows that lie entirely

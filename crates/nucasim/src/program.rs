@@ -71,10 +71,12 @@ pub struct CpuCtx<'a> {
     /// this single `Option`, so untraced runs pay one branch per emission
     /// site and nothing else.
     pub(crate) trace: Option<&'a mut (dyn TraceSink + 'static)>,
-    /// Engine-side fault state, if fault injection is on. Lock drivers
-    /// notify it of acquisitions through [`CpuCtx::record_acquire`], which
-    /// is how holder-targeted preemption knows who holds a lock.
-    pub(crate) faults: Option<&'a mut FaultState>,
+    /// Engine-side fault state, if fault injection is on, with this CPU's
+    /// calm horizon. Lock drivers notify it of acquisitions through
+    /// [`CpuCtx::record_acquire`], which is how holder-targeted preemption
+    /// knows who holds a lock; marking a burst zeroes the horizon so the
+    /// CPU's next resume takes the engine's disturbance path.
+    pub(crate) faults: Option<(&'a mut FaultState, &'a mut u64)>,
 }
 
 impl<'a> CpuCtx<'a> {
@@ -136,8 +138,10 @@ impl<'a> CpuCtx<'a> {
         self.stats.record_acquire(lock, self.node);
         // Holder-targeted preemption keys off this: the new holder may be
         // marked to lose a quantum at its next resume, mid-critical-section.
-        if let Some(f) = self.faults.as_deref_mut() {
-            f.on_acquire(self.cpu);
+        if let Some((f, calm)) = self.faults.as_mut() {
+            if f.on_acquire(self.cpu) {
+                **calm = 0;
+            }
         }
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(

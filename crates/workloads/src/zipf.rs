@@ -1,11 +1,19 @@
 //! Deterministic Zipfian key sampling for the lockserver workload.
 //!
 //! Gray's constant-time method (popularized by YCSB): precompute the
-//! generalized harmonic number ζ(n, θ) once, then map each uniform draw
+//! generalized harmonic number ζ(n, θ), then map each uniform draw
 //! through a closed-form inverse. Sampling costs two `powf` calls and no
 //! table, so a million-key distribution is as cheap as a uniform one.
 //! Randomness comes from the in-tree [`SplitMix64`] — same seed, same key
 //! sequence, which the byte-identical sweep TSVs rely on.
+//!
+//! ζ(n, θ) is an n-term sum (10⁶ `powf` calls for the lockserver's key
+//! space), so it is computed once per process for each `(n, θ)` and
+//! shared by every later [`Zipfian::new`], across threads too. The memo
+//! stores the very sum the direct computation produces, so no sampled key
+//! depends on whether a build hit it.
+
+use std::sync::{Mutex, PoisonError};
 
 use nucasim::SplitMix64;
 
@@ -38,7 +46,7 @@ impl Zipfian {
             theta > 0.0 && theta < 1.0,
             "zipf exponent must be in (0, 1), got {theta}"
         );
-        let zetan = zeta(n, theta);
+        let zetan = zeta_memo(n, theta);
         let zeta2 = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -66,9 +74,25 @@ impl Zipfian {
     }
 }
 
-/// Generalized harmonic number ζ(n, θ) = Σ_{i=1..n} 1/i^θ.
+/// Generalized harmonic number ζ(n, θ) = Σ_{i=1..n} 1/i^θ, summed left
+/// to right.
 fn zeta(n: u64, theta: f64) -> f64 {
     (1..=n).map(|i| (i as f64).powf(-theta)).sum()
+}
+
+/// [`zeta`], computed at most once per process for each `(n, θ)`. The
+/// lock is held across the sum, so builders racing on a key wait for the
+/// one computation instead of repeating it.
+fn zeta_memo(n: u64, theta: f64) -> f64 {
+    static MEMO: Mutex<Vec<((u64, u64), f64)>> = Mutex::new(Vec::new());
+    let key = (n, theta.to_bits());
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, z)) = memo.iter().find(|(k, _)| *k == key) {
+        return z;
+    }
+    let z = zeta(n, theta);
+    memo.push((key, z));
+    z
 }
 
 #[cfg(test)]
@@ -126,6 +150,42 @@ mod tests {
             (0..100).map(|_| z.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn memoised_zeta_is_bit_equal_to_the_direct_sum() {
+        for (n, theta) in [(7, 0.2), (1000, 0.5), (1_000_000, 0.99)] {
+            let direct = zeta(n, theta);
+            // First call fills the memo (unless another test did), the
+            // second is certainly a hit.
+            for _ in 0..2 {
+                assert_eq!(zeta_memo(n, theta).to_bits(), direct.to_bits(), "ζ({n}, {theta})");
+            }
+            assert_eq!(Zipfian::new(n, theta).zetan.to_bits(), direct.to_bits());
+        }
+    }
+
+    #[test]
+    fn concurrent_builds_share_identical_constants() {
+        // A key no other test uses, so the four builders race to fill it.
+        let (n, theta) = (200_003, 0.77);
+        let barrier = std::sync::Barrier::new(4);
+        let built: Vec<Zipfian> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        Zipfian::new(n, theta)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let bits = |z: &Zipfian| [z.alpha.to_bits(), z.zetan.to_bits(), z.eta.to_bits()];
+        assert_eq!(built[0].zetan.to_bits(), zeta(n, theta).to_bits());
+        for z in &built[1..] {
+            assert_eq!(bits(z), bits(&built[0]));
+        }
     }
 
     #[test]
